@@ -12,8 +12,8 @@ import (
 )
 
 // waitForGoroutines polls until the goroutine count drops back to at most
-// want (cancellation unwinds kernels asynchronously after Run returns the
-// error, but only by a few scheduler ticks).
+// want. A run unwinds its kernels before returning, but an exiting
+// goroutine can still be counted for a few scheduler ticks.
 func waitForGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -31,8 +31,8 @@ func waitForGoroutines(t *testing.T, want int) {
 
 // TestGangContextCancelUnblocksKernels proves cooperative cancellation: a
 // cancel arriving mid-run makes RunGroupedContext return ctx.Err() promptly
-// and unwinds every kernel goroutine, including ones parked at a barrier
-// that will never be released.
+// and unwinds every kernel, including ones parked at a barrier that will
+// never be released.
 func TestGangContextCancelUnblocksKernels(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h, _ := testHierarchy(3, nil)
@@ -68,8 +68,8 @@ func TestGangContextCancelUnblocksKernels(t *testing.T) {
 }
 
 // TestGangContextPreCancelled verifies a run under an already-cancelled
-// context returns immediately without leaking the kernel goroutines it
-// spawned.
+// context returns immediately without leaking the kernel coroutines it
+// created.
 func TestGangContextPreCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h, _ := testHierarchy(2, nil)
@@ -90,8 +90,8 @@ func TestGangContextPreCancelled(t *testing.T) {
 }
 
 // TestGangContextBackgroundMatchesRun verifies the context path with a
-// non-cancellable context is behaviourally identical to Run: the per-core
-// cancel channel stays nil and results match exactly.
+// non-cancellable context is behaviourally identical to Run: results match
+// exactly.
 func TestGangContextBackgroundMatchesRun(t *testing.T) {
 	run := func(useCtx bool) int32 {
 		h, st := testHierarchy(2, nil)
@@ -177,4 +177,84 @@ func TestGangPanicReRaisedWithoutContext(t *testing.T) {
 		c.LoadI32(0x100)
 		panic("boom")
 	}})
+}
+
+// TestGangContextCancelLoneCore cancels a run while exactly one core is
+// runnable: the others have finished, so the spinning core never hands its
+// turn over and must notice the cancellation itself between accesses.
+func TestGangContextCancelLoneCore(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h, _ := testHierarchy(3, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	alone := make(chan struct{})
+	kernels := []func(*CoreCtx){
+		func(c *CoreCtx) {
+			for i := 0; ; i++ {
+				c.LoadI32(memdata.Addr(0x1000 + (i%64)*64))
+				if i == 100 {
+					close(alone) // cores 1 and 2 retired long ago
+				}
+			}
+		},
+		func(c *CoreCtx) { c.LoadI32(0x100) },
+		func(c *CoreCtx) { c.LoadI32(0x200) },
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- RunGroupedContext(ctx, h, kernels, nil) }()
+	<-alone
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancellation did not stop the lone core")
+	}
+	waitForGoroutines(t, before)
+}
+
+// TestGangNoGoroutineLeak checks that the goroutine count returns to its
+// baseline after each way a run can end: normal completion, a kernel
+// panic, and cancellation.
+func TestGangNoGoroutineLeak(t *testing.T) {
+	spin := func(c *CoreCtx) {
+		for i := 0; ; i++ {
+			c.LoadI32(memdata.Addr(0x1000 + (i%64)*64))
+		}
+	}
+	short := func(c *CoreCtx) {
+		c.LoadI32(0x100)
+		c.Barrier()
+		c.LoadI32(0x200)
+	}
+	crash := func(c *CoreCtx) {
+		c.LoadI32(0x300)
+		panic("synthetic kernel crash")
+	}
+	for _, tc := range []struct {
+		name    string
+		kernels []func(*CoreCtx)
+		cancel  bool
+		wantErr string // empty for a clean run
+	}{
+		{"complete", []func(*CoreCtx){short, short, short}, false, ""},
+		{"panic", []func(*CoreCtx){short, crash, short}, false, "synthetic kernel crash"},
+		{"cancel", []func(*CoreCtx){spin, short, short}, true, context.Canceled.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			h, _ := testHierarchy(len(tc.kernels), nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				time.AfterFunc(10*time.Millisecond, cancel)
+			}
+			err := RunGroupedContext(ctx, h, tc.kernels, nil)
+			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+			waitForGoroutines(t, before)
+		})
+	}
 }

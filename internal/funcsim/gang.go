@@ -1,49 +1,58 @@
+//go:build go1.23
+
 package funcsim
 
 import (
 	"context"
 	"fmt"
+	"iter"
 	"runtime/debug"
-	"sync"
 
 	"doppelganger/internal/memdata"
 )
 
-// The gang serializes memory accesses with a token ring: exactly one core
-// goroutine holds the grant token at a time, and after its turn it hands the
-// token directly to the next runnable core in rotation order. There is no
-// scheduler goroutine in the loop, so each access costs one goroutine switch
-// (the old dedicated scheduler cost two: kernel -> scheduler -> next kernel),
-// and a phase where a single core is the only runnable one costs none at all.
-// The rotation order is identical to the old scheduler's round-robin —
-// including barrier release happening exactly at rotation boundaries and a
-// finished or crashed core being retired at its own rotation slot — so the
-// deterministic interleaving, and therefore every simulated result, is
-// bit-identical.
+// The gang serializes memory accesses by running every kernel as an
+// iter.Pull coroutine driven from the caller's goroutine. Exactly one kernel
+// runs at a time, so the running kernel holds the turn implicitly. A turn
+// ends in pass: the kernel computes the next runnable core itself and, when
+// that is another core, yields to the run loop, which resumes that core.
+// That is two coroutine switches per turn, and a phase where one core is the
+// only runnable one costs none at all: the lone core never yields.
 //
-// All rotation bookkeeping (doneFlags, atBarrier, live counts) is guarded by
-// the token itself: only the holder touches it, and the channel handoff
-// publishes it to the next holder.
+// The rotation is round-robin, one turn per live core per rotation. Barrier
+// groups are released exactly at rotation boundaries, and a finished or
+// crashed core is retired at its own rotation slot, so the deterministic
+// interleaving, and therefore every simulated result, does not depend on how
+// the turns are handed over.
+//
+// All bookkeeping (doneFlags, atBarrier, live counts, the first panic) is
+// touched only by the running kernel or by the run loop between resumes, and
+// a coroutine switch orders the two, so none of it needs a lock.
 type gang struct {
 	ctxs      []*CoreCtx
 	doneFlags []bool
 	atBarrier []bool
 	live      int
+	// cur is the core the run loop resumes next; the kernel ending its turn
+	// sets it before yielding or retiring.
+	cur int
 	// Scratch for releaseReadyGroups, indexed by barrier group.
 	liveInGroup []int
 	waitInGroup []int
-	// allDone is closed by the last core to retire; the Run caller parks on
-	// it instead of participating in the rotation.
-	allDone chan struct{}
+	// done is the run context's Done channel, nil for a non-cancellable run.
+	done <-chan struct{}
+	// canceled records that a kernel unwound on cancellation.
+	canceled bool
+	// panicErr is the first kernel crash, with that kernel's stack.
+	panicErr error
 }
 
-// nextRunnable returns the index of the core the token should go to after
-// from's turn: the next live, non-waiting core in rotation order. Crossing
-// the end of the core list is the rotation boundary, where barrier groups
-// whose live cores are all waiting get released — exactly where the old
-// dedicated scheduler did it between rotations. Returns -1 only if every
-// live core is parked at a barrier that can no longer complete (a kernel
-// bug: the run hangs, as it always did, but without spinning).
+// nextRunnable returns the core whose turn follows from's: the next live,
+// non-waiting core in rotation order. Crossing the end of the core list is
+// the rotation boundary, where barrier groups whose live cores are all
+// waiting get released. While any core is live some core is runnable: if
+// every live core is waiting, each group with a waiting core has all its
+// live cores waiting, so the boundary releases it.
 func (g *gang) nextRunnable(from int) int {
 	for i := from + 1; i < len(g.ctxs); i++ {
 		if !g.doneFlags[i] && !g.atBarrier[i] {
@@ -51,19 +60,16 @@ func (g *gang) nextRunnable(from int) int {
 		}
 	}
 	g.releaseReadyGroups()
-	for i := 0; i < len(g.ctxs); i++ {
+	for i := range g.ctxs {
 		if !g.doneFlags[i] && !g.atBarrier[i] {
 			return i
 		}
 	}
-	return -1
+	panic("funcsim: no runnable core while cores are live")
 }
 
 // releaseReadyGroups releases every barrier group whose live cores have all
-// reached the barrier. The barrierLeave channels are buffered, so release
-// never blocks — a released core picks the signal up when it parks (or, when
-// a lone core released its own group, already holds the token and consumes
-// the signal immediately).
+// reached the barrier. A released core resumes at its next rotation slot.
 func (g *gang) releaseReadyGroups() {
 	for i := range g.liveInGroup {
 		g.liveInGroup[i], g.waitInGroup[i] = 0, 0
@@ -82,115 +88,86 @@ func (g *gang) releaseReadyGroups() {
 			continue
 		}
 		for i, c := range g.ctxs {
-			if g.atBarrier[i] && c.group == grp {
+			if c.group == grp {
 				g.atBarrier[i] = false
-				c.barrierLeave <- struct{}{}
 			}
 		}
 	}
 }
 
+// kernel wraps core i's kernel as a coroutine body. A kernel that returns or
+// crashes is retired at the slot where it stopped running, which is its own
+// rotation slot. A crash is recovered here, on the kernel's own stack, so
+// the error carries that stack; a crashed core counts as finished, so its
+// barrier group is not stranded.
+func (g *gang) kernel(i int, k func(*CoreCtx)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		c := g.ctxs[i]
+		c.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(runCanceled); ok {
+					g.canceled = true
+					return
+				}
+				if g.panicErr == nil { // keep the first crash's stack
+					g.panicErr = fmt.Errorf("funcsim: kernel %d panicked: %v\n%s", i, r, debug.Stack())
+				}
+			}
+			g.doneFlags[i] = true
+			g.live--
+			if g.live > 0 {
+				g.cur = g.nextRunnable(i)
+			}
+		}()
+		k(c)
+	}
+}
+
 // CoreCtx is the per-core handle a workload kernel uses to touch memory.
-// Kernels run as goroutines, but every memory access is serialized through
-// the grant token in deterministic round-robin order, so functional results
-// (and therefore application error) are reproducible run-to-run.
+// Kernels run as coroutines, and every memory access takes one turn of a
+// deterministic round-robin rotation, so functional results (and therefore
+// application error) are reproducible run-to-run.
 type CoreCtx struct {
 	id    int
 	group int // barrier group (program id in multiprogrammed runs)
 	h     *Hierarchy
 	g     *gang
-	grant chan struct{}
-	// barrierLeave carries the barrier-release signal; buffered so the
-	// releasing token holder never blocks on it.
-	barrierLeave chan struct{}
-	// granted tracks (on this core's goroutine only) whether the token is
-	// currently held; it stays true across turns when this core is the only
-	// runnable one, eliding the channel round-trip entirely.
-	granted bool
-	// cancel is closed by the runner when its context is cancelled; nil for
-	// non-context runs, which keep the bare channel operations below.
-	cancel chan struct{}
+	// yield suspends this kernel's coroutine and returns control to the
+	// run loop; it reports false once the run is cancelled.
+	yield func(struct{}) bool
 }
 
-// runCanceled is the panic token a kernel goroutine unwinds with when the
-// run's context is cancelled; the goroutine wrapper recovers it. Kernels
-// block on token rendezvous, so panic-unwind is the only way to free them
+// runCanceled is the panic a kernel unwinds with when the run's context is
+// cancelled; the coroutine wrapper recovers it. Kernels are suspended in
+// the middle of their code, so panic-unwind is the only way to free them
 // without threading a context through every workload kernel.
 type runCanceled struct{}
 
 // Core returns the core id of this context.
 func (c *CoreCtx) Core() int { return c.id }
 
-// acquireOK waits for the token, reporting false if the run was cancelled
-// instead. A core that kept the token after its last turn returns at once.
-func (c *CoreCtx) acquireOK() bool {
-	if c.granted {
-		return true
-	}
-	if c.cancel == nil {
-		<-c.grant
-	} else {
-		select {
-		case <-c.grant:
-		case <-c.cancel:
-			return false
-		}
-	}
-	c.granted = true
-	return true
-}
-
-// acquire waits for the token, unwinding if the run is cancelled.
-func (c *CoreCtx) acquire() {
-	if !c.acquireOK() {
-		panic(runCanceled{})
-	}
-}
-
-// passOK hands the token to the next runnable core, reporting false if the
-// run was cancelled instead. When this core is itself the next runnable one
-// it simply keeps the token (polling cancellation so a lone cancellable
-// kernel still unwinds between accesses).
-func (c *CoreCtx) passOK() bool {
-	next := c.g.nextRunnable(c.id)
+// pass ends this core's turn. When another core is next it yields until the
+// rotation comes back round; when this core is itself the next runnable
+// one it keeps running, polling cancellation because the run loop does not
+// get control in between. A cancelled run unwinds the kernel.
+func (c *CoreCtx) pass() {
+	g := c.g
+	next := g.nextRunnable(c.id)
 	if next == c.id {
-		if c.cancel != nil {
+		if g.done != nil {
 			select {
-			case <-c.cancel:
-				return false
+			case <-g.done:
+				panic(runCanceled{})
 			default:
 			}
 		}
-		return true
+		return
 	}
-	c.granted = false
-	if next < 0 {
-		return true // kernel-level barrier deadlock: drop the token
-	}
-	nc := c.g.ctxs[next]
-	if c.cancel == nil {
-		nc.grant <- struct{}{}
-		return true
-	}
-	select {
-	case nc.grant <- struct{}{}:
-		return true
-	case <-c.cancel:
-		return false
-	}
-}
-
-// pass hands the token on, unwinding if the run is cancelled.
-func (c *CoreCtx) pass() {
-	if !c.passOK() {
+	g.cur = next
+	if !c.yield(struct{}{}) {
 		panic(runCanceled{})
 	}
-}
-
-func (c *CoreCtx) turn(fn func()) {
-	c.acquire()
-	fn()
-	c.pass()
 }
 
 // Work accounts n non-memory instructions (arithmetic between accesses).
@@ -205,69 +182,63 @@ func (c *CoreCtx) Work(n int) {
 // reached a Barrier call, mirroring the pthread barriers of the paper's
 // data-parallel benchmarks. Cores that have already finished do not
 // participate; in multiprogrammed runs each program is its own group.
+// Reaching the barrier takes a turn; the run loop resumes the core only once
+// its group has been released.
 func (c *CoreCtx) Barrier() {
-	c.acquire()
 	c.g.atBarrier[c.id] = true
 	c.pass()
-	if c.cancel == nil {
-		<-c.barrierLeave
-		return
-	}
-	// A core can park here for many rotations while the rest of its group
-	// catches up, so the release must also race against cancellation.
-	select {
-	case <-c.barrierLeave:
-	case <-c.cancel:
-		panic(runCanceled{})
-	}
 }
 
 // LoadF32 reads a float32 through the hierarchy.
 func (c *CoreCtx) LoadF32(addr memdata.Addr) float32 {
-	var v float32
-	c.turn(func() { v = c.h.LoadF32(c.id, addr) })
+	v := c.h.LoadF32(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreF32 writes a float32 through the hierarchy.
 func (c *CoreCtx) StoreF32(addr memdata.Addr, v float32) {
-	c.turn(func() { c.h.StoreF32(c.id, addr, v) })
+	c.h.StoreF32(c.id, addr, v)
+	c.pass()
 }
 
 // LoadF64 reads a float64 through the hierarchy.
 func (c *CoreCtx) LoadF64(addr memdata.Addr) float64 {
-	var v float64
-	c.turn(func() { v = c.h.LoadF64(c.id, addr) })
+	v := c.h.LoadF64(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreF64 writes a float64 through the hierarchy.
 func (c *CoreCtx) StoreF64(addr memdata.Addr, v float64) {
-	c.turn(func() { c.h.StoreF64(c.id, addr, v) })
+	c.h.StoreF64(c.id, addr, v)
+	c.pass()
 }
 
 // LoadI32 reads an int32 through the hierarchy.
 func (c *CoreCtx) LoadI32(addr memdata.Addr) int32 {
-	var v int32
-	c.turn(func() { v = c.h.LoadI32(c.id, addr) })
+	v := c.h.LoadI32(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreI32 writes an int32 through the hierarchy.
 func (c *CoreCtx) StoreI32(addr memdata.Addr, v int32) {
-	c.turn(func() { c.h.StoreI32(c.id, addr, v) })
+	c.h.StoreI32(c.id, addr, v)
+	c.pass()
 }
 
 // LoadU8 reads a byte through the hierarchy.
 func (c *CoreCtx) LoadU8(addr memdata.Addr) uint8 {
-	var v uint8
-	c.turn(func() { v = c.h.LoadU8(c.id, addr) })
+	v := c.h.LoadU8(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreU8 writes a byte through the hierarchy.
 func (c *CoreCtx) StoreU8(addr memdata.Addr, v uint8) {
-	c.turn(func() { c.h.StoreU8(c.id, addr, v) })
+	c.h.StoreU8(c.id, addr, v)
+	c.pass()
 }
 
 // Run executes one kernel per core in lockstep: memory accesses are granted
@@ -292,124 +263,59 @@ func RunGrouped(h *Hierarchy, kernels []func(*CoreCtx), groups []int) {
 	}
 }
 
+// cancelPoll is how many turns the run loop runs between polls of the run's
+// context. A lone runnable core polls on every access instead.
+const cancelPoll = 4096
+
 // RunGroupedContext is RunGrouped with cooperative cancellation and panic
-// containment. When ctx is cancelled the token stops circulating, every
-// kernel goroutine unwinds at its next rendezvous, and ctx.Err() is
-// returned; the simulation state is then abandoned mid-flight (callers
-// discard it). A kernel that panics is captured on its own goroutine and
-// returned as an error carrying the stack — the crash fails this run, never
-// the process; the remaining kernels complete normally (a crashed core
-// counts as finished, so its barrier group is not stranded). With a
-// non-cancellable context the cancellation machinery is inert: the per-core
-// cancel channel stays nil and every rendezvous keeps its bare channel
-// operation.
+// containment. The kernels run on coroutines driven from the calling
+// goroutine. When ctx is cancelled the run loop stops every coroutine, each
+// suspended kernel unwinds, and ctx.Err() is returned with no goroutine
+// left behind; the simulation state is then abandoned mid-flight (callers
+// discard it). A kernel that panics is captured on its own stack and
+// returned as an error carrying that stack — the crash fails this run,
+// never the process; the remaining kernels complete normally.
 func RunGroupedContext(ctx context.Context, h *Hierarchy, kernels []func(*CoreCtx), groups []int) error {
 	n := len(kernels)
 	if n == 0 {
 		return nil
 	}
-	ctxDone := ctx.Done()
-	var cancelCh chan struct{}
-	if ctxDone != nil {
-		cancelCh = make(chan struct{})
-	}
-	var panicMu sync.Mutex
-	var panicErr error
-	ctxs := make([]*CoreCtx, n)
 	maxGroup := 0
-	for i := 0; i < n; i++ {
-		grp := 0
-		if groups != nil {
-			grp = groups[i]
-		}
-		if grp > maxGroup {
-			maxGroup = grp
-		}
-		ctxs[i] = &CoreCtx{
-			id: i, group: grp, h: h,
-			grant:        make(chan struct{}),
-			barrierLeave: make(chan struct{}, 1),
-			cancel:       cancelCh,
-		}
+	for _, grp := range groups {
+		maxGroup = max(maxGroup, grp)
 	}
 	g := &gang{
-		ctxs:        ctxs,
+		ctxs:        make([]*CoreCtx, n),
 		doneFlags:   make([]bool, n),
 		atBarrier:   make([]bool, n),
 		live:        n,
 		liveInGroup: make([]int, maxGroup+1),
 		waitInGroup: make([]int, maxGroup+1),
-		allDone:     make(chan struct{}),
+		done:        ctx.Done(),
 	}
-	finished := make([]chan struct{}, n)
-	for i := 0; i < n; i++ {
-		ctxs[i].g = g
-		finished[i] = make(chan struct{})
-		go func(i int) {
-			c := ctxs[i]
-			defer close(finished[i])
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(runCanceled); ok {
-						return // cancelled: the runner joins via finished
-					}
-					panicMu.Lock()
-					if panicErr == nil { // keep the first crash's stack
-						panicErr = fmt.Errorf("funcsim: kernel %d panicked: %v\n%s", i, r, debug.Stack())
-					}
-					panicMu.Unlock()
-					// A mid-turn crash still holds the token, so the retire
-					// handshake below runs at this very rotation slot; an
-					// out-of-turn crash waits for its next slot like normal
-					// completion.
-				}
-				if !c.acquireOK() {
-					return
-				}
-				g.doneFlags[c.id] = true
-				g.live--
-				if g.live == 0 {
-					close(g.allDone)
-					return
-				}
-				c.passOK()
-			}()
-			kernels[i](c)
-		}(i)
+	resume := make([]func() (struct{}, bool), n)
+	stops := make([]func(), n)
+	for i, k := range kernels {
+		g.ctxs[i] = &CoreCtx{id: i, h: h, g: g}
+		if groups != nil {
+			g.ctxs[i].group = groups[i]
+		}
+		resume[i], stops[i] = iter.Pull(g.kernel(i, k))
 	}
-	// Seed the token: core 0 is live and runnable at the start, matching the
-	// old scheduler's first grant.
-	if cancelCh == nil {
-		ctxs[0].grant <- struct{}{}
-		<-g.allDone
-	} else {
-		select {
-		case ctxs[0].grant <- struct{}{}:
-		case <-ctxDone:
-			close(cancelCh)
-			for i := 0; i < n; i++ {
-				<-finished[i]
-			}
+	// On normal completion every coroutine has already returned and stop is
+	// a no-op; on cancellation it makes each suspended kernel's yield report
+	// false, so the kernel unwinds before the call returns.
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
+	// Core 0 takes the first turn.
+	for turn := 0; g.live > 0; turn++ {
+		if g.canceled || g.done != nil && turn%cancelPoll == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		select {
-		case <-ctxDone:
-			// Every live kernel is parked at (or computing towards) a token
-			// or barrier rendezvous that also selects on cancel, so closing
-			// it unwinds them all; wait for the unwind so no goroutine
-			// outlives the call.
-			close(cancelCh)
-			for i := 0; i < n; i++ {
-				<-finished[i]
-			}
-			return ctx.Err()
-		case <-g.allDone:
-		}
+		resume[g.cur]()
 	}
-	for i := 0; i < n; i++ {
-		<-finished[i]
-	}
-	panicMu.Lock()
-	defer panicMu.Unlock()
-	return panicErr
+	return g.panicErr
 }
