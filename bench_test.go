@@ -160,16 +160,14 @@ func BenchmarkFuncSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFuncSweepBatched is BenchmarkFuncSweep through the decoded-capture
-// cache — the sweepd deployment, where one long-lived in-memory cache
-// outlives every sweep over the trace directory. Each capture file is read
-// and decoded once for the cache's lifetime instead of once per sweep, and
-// baseline outputs are scored straight from their decoded captures, so a
-// warm sweep rebuilds no hierarchy at all. With DOPPEL_BENCH_LIVE=1 the
-// cache has nothing to serve and every cell executes live, identical to
-// BenchmarkFuncSweep — so against the committed live baseline this row is
-// the single-pass substrate's speedup, and the gap over the FuncSweep row
-// is the decoded-cache win over per-cell file replay.
+// BenchmarkFuncSweepBatched is BenchmarkFuncSweep with the sweepd
+// deployment's long-lived decoded-capture cache and batch width attached.
+// Every cell in this sweep is an output-only error cell, and the baseline
+// score reads only its capture's output too, so the cache sits unused: each
+// sweep reads every capture through the output-only read, exactly as
+// BenchmarkFuncSweep does. The row pins that attaching the cache costs an
+// error-only sweep nothing. With DOPPEL_BENCH_LIVE=1 every cell executes
+// live, identical to BenchmarkFuncSweep.
 func BenchmarkFuncSweepBatched(b *testing.B) {
 	dir := b.TempDir()
 	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {

@@ -68,7 +68,7 @@ func main() {
 		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture in -trace-dir")
 		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
-		decodedCacheMB = flag.Int("decoded-cache-mb", 0, "in-memory decoded-capture cache budget, MB: decode each capture in -trace-dir once per sweep, not once per consumer (0 disables)")
+		decodedCacheMB = flag.Int("decoded-cache-mb", 0, "in-memory decoded-capture cache budget, MB: a capture in -trace-dir that cells replay through a hierarchy (baseline, quality) is decoded once per sweep, not once per consumer; output-only error cells never use it (0 disables)")
 		replayBatch    = flag.Int("replay-batch", 0, "max identical-stream quality cells replayed per single-pass walk over a warm -trace-dir; needs -decoded-cache-mb (<=1 disables)")
 
 		metricsOut = flag.String("metrics-out", "", "write per-task + total counter snapshots as JSONL to this file")

@@ -6,6 +6,7 @@
 //	sweepd -scale 0.1 [-addr :8734] [-shards 2] [-shard-workers 2]
 //	sweepd -checkpoint run.jsonl -state drain.json [-resume]
 //	sweepd -trace-dir traces [-trace-replay] ...
+//	sweepd -pprof localhost:6060 ...
 //
 // Jobs are single sweep cells (POST /v1/jobs, see internal/server); the
 // server shards them over worker pools by consistent hashing, memoizes
@@ -29,6 +30,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -83,8 +85,10 @@ func main() {
 		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture")
 		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
-		decodedCacheMB = flag.Int("decoded-cache-mb", 256, "in-memory decoded-capture cache budget shared by all shards, MB (0 disables; needs -trace-dir)")
+		decodedCacheMB = flag.Int("decoded-cache-mb", 256, "in-memory decoded-capture cache budget shared by all shards, MB: holds captures that cells replay through a hierarchy (baseline, quality); output-only error cells never use it (0 disables; needs -trace-dir)")
 		replayBatch    = flag.Int("replay-batch", 8, "max identical-stream quality cells replayed per single-pass walk (<=1 disables batching)")
+
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
@@ -127,6 +131,16 @@ func main() {
 	verifyMode, err := trace.ParseVerifyMode(*traceVerify)
 	if err != nil {
 		fail(err)
+	}
+
+	if *pprofAddr != "" {
+		// Its own listener on the default mux: the API handler never
+		// exposes the profiler.
+		go func() {
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+				fmt.Fprintf(os.Stderr, "sweepd: pprof server: %v\n", err)
+			}
+		}()
 	}
 
 	var logw io.Writer = os.Stderr

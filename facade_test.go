@@ -1,6 +1,9 @@
 package doppelganger
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -103,6 +106,58 @@ func TestEvaluationSmallScale(t *testing.T) {
 	out := f7.Format()
 	if !strings.Contains(out, "inversek2j") || !strings.Contains(out, "average") {
 		t.Errorf("fig7 format:\n%s", out)
+	}
+}
+
+// TestEvaluationMetricsCountCaptureLoads: the -metrics-out aggregate of a
+// warm evaluation under a decoded cache counts every capture load by kind —
+// output-only error cells as trace.loads.output, the baseline replay behind
+// the timing column as trace.loads.full.
+func TestEvaluationMetricsCountCaptureLoads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	dir := t.TempDir()
+	cold := NewEvaluation(0.02, nil)
+	cold.Restrict("kmeans")
+	cold.Traces(dir, false, false)
+	if _, _, err := cold.Fig9(); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewEvaluation(0.02, nil)
+	warm.Restrict("kmeans")
+	warm.CollectMetrics()
+	warm.Traces(dir, false, false)
+	warm.BatchReplay(8, 64)
+	if _, _, err := warm.Fig9(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := warm.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	total := map[string]uint64{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var line struct {
+			Task  string `json:"task"`
+			Name  string `json:"name"`
+			Value uint64 `json:"value"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Task == "total" {
+			total[line.Name] = line.Value
+		}
+	}
+	// Fig. 9 replays the baseline first (one full load) and its three split
+	// error cells score against those artifacts (three output-only loads).
+	if got := total["trace.loads.output"]; got != 3 {
+		t.Errorf("trace.loads.output = %d, want 3", got)
+	}
+	if got := total["trace.loads.full"]; got != 1 {
+		t.Errorf("trace.loads.full = %d, want 1", got)
 	}
 }
 

@@ -114,9 +114,11 @@ type Config struct {
 
 	// DecodedCacheMB, when positive (and TraceDir is set), bounds a single
 	// decoded-capture LRU shared by every shard runner: a capture any shard
-	// decodes is replayable by the rest without re-reading the file, and
-	// cells are ring-routed by capture digest so repeat submissions land on
-	// the shard already holding their stream. ReplayBatch, when > 1, lets
+	// decodes to replay through a hierarchy (baseline, quality cells) is
+	// replayable by the rest without re-reading the file; output-only error
+	// cells read just their capture's output and never use it. Cells are
+	// ring-routed by capture digest so repeat submissions land on the shard
+	// already holding their stream. ReplayBatch, when > 1, lets
 	// each shard's engine replay that many identical-stream quality cells
 	// in a single pass (sweep.Runner.ReplayBatch).
 	DecodedCacheMB int

@@ -95,8 +95,10 @@ func TestServerTraceDirUnusable(t *testing.T) {
 
 // TestServerDecodedCacheAndDigestRouting covers the shared decoded-capture
 // layer above the trace store: cells route by benchmark until their capture
-// exists, then by its digest; a warm restart replays through the decoded
-// cache; and the cache's counters surface in /v1/stats and Stats().
+// exists, then by its digest; a warm restart serves an output-only cell
+// without touching the decoded cache; a cell that replays through a
+// hierarchy (the baseline) fills it; and the cache's counters surface in
+// /v1/stats and Stats().
 func TestServerDecodedCacheAndDigestRouting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -150,8 +152,25 @@ func TestServerDecodedCacheAndDigestRouting(t *testing.T) {
 	if st.DecodedCache == nil {
 		t.Fatal("stats carry no decoded-cache snapshot")
 	}
-	if st.DecodedCache.Entries == 0 || st.DecodedCache.Bytes == 0 {
-		t.Errorf("decoded cache empty after a warm replay: %+v", *st.DecodedCache)
+	// The split cell and the baseline output it scores against both take
+	// the output-only read: nothing decoded in full, nothing cached.
+	if st.DecodedCache.Entries != 0 {
+		t.Errorf("output-only cell filled the decoded cache: %+v", *st.DecodedCache)
+	}
+	if n := second.reg.CounterValue("trace.loads.full"); n != 0 {
+		t.Errorf("output-only cell fully decoded %d captures", n)
+	}
+	if n := second.reg.CounterValue("trace.loads.output"); n == 0 {
+		t.Error("output-only cell counted no output-only load")
+	}
+
+	// The baseline timing cell replays the baseline capture through a
+	// hierarchy: that full decode is what the cache keeps.
+	if _, err := second.Submit(context.Background(), Cell{Kind: "baseline-timing", Bench: "kmeans"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.DecodedCache.Entries == 0 || st.DecodedCache.Bytes == 0 {
+		t.Errorf("decoded cache empty after a baseline replay: %+v", *st.DecodedCache)
 	}
 
 	// The snapshot also renders over HTTP, and the cache's counters are on

@@ -56,7 +56,7 @@ func (r *Runner) runQualityBatch(ctx context.Context, name string) error {
 			}
 			extra := fmt.Sprintf("|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
 				r.FaultSeed, r.FaultModel, r.QualitySeed, r.qualityBudget(), r.canaryRate())
-			c := r.loadDecoded(workloads.CaptureIdent(key, r.Scale, r.Cores, extra))
+			c := r.tryLoad(workloads.CaptureIdent(key, r.Scale, r.Cores, extra), false)
 			if c == nil {
 				continue
 			}

@@ -101,9 +101,12 @@ func TestBatchedQualityMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchedErrorCellsMatchSequential covers the decoded-cache fast path
-// the warm error-only sweep takes (baseline output served from its capture,
-// split/uni/fault cells from theirs): bits must match the live values.
+// TestBatchedErrorCellsMatchSequential covers the warm error-only sweep
+// under a decoded cache: split/uni/fault cells and the baseline output they
+// score against all take the output-only capture read, so the decoded cache
+// stays empty and no capture is fully decoded, yet every bit matches the
+// live values. A cell that replays through a hierarchy — the baseline
+// artifacts — is what fills the cache.
 func TestBatchedErrorCellsMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -129,7 +132,8 @@ func TestBatchedErrorCellsMatchSequential(t *testing.T) {
 		out["fault"] = math.Float64bits(fv)
 		return out
 	}
-	live := cells(traceRunner(0.02, "", "kmeans"))
+	lr := traceRunner(0.02, "", "kmeans")
+	live := cells(lr)
 	cold := cells(traceRunner(0.02, dir, "kmeans"))
 	w := traceRunner(0.02, dir, "kmeans")
 	w.DecodedCache = trace.NewDecodedCache(256 << 20)
@@ -143,12 +147,71 @@ func TestBatchedErrorCellsMatchSequential(t *testing.T) {
 			t.Errorf("%s: decoded-cache warm %x != live %x", k, warm[k], v)
 		}
 	}
-	// The warm pass must not have executed a single kernel: every cell —
-	// and the baseline output it scores against — came from captures.
+	// The warm pass must not have executed a single kernel, and every
+	// capture it read — three cells plus the baseline — took the
+	// output-only read, bypassing the decoded cache.
 	if n := w.Metrics.CounterValue("trace.records"); n != 0 {
 		t.Errorf("warm pass re-recorded %d captures", n)
 	}
+	if n := w.Metrics.CounterValue("trace.loads.full"); n != 0 {
+		t.Errorf("output-only cells fully decoded %d captures", n)
+	}
+	if n := w.Metrics.CounterValue("trace.loads.output"); n != 4 {
+		t.Errorf("trace.loads.output = %d, want 4 (3 cells + baseline)", n)
+	}
+	if st := w.DecodedCache.Stats(); st.Entries != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("output-only pass touched the decoded cache: %+v", st)
+	}
+
+	// The baseline artifacts replay the baseline capture through a
+	// hierarchy: one full decode, which the cache keeps.
+	a, err := w.Baseline("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	la, err := lr.Baseline("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range la.run.Output {
+		if math.Float64bits(a.run.Output[i]) != math.Float64bits(la.run.Output[i]) {
+			t.Fatalf("replayed baseline output[%d] = %v, live %v", i, a.run.Output[i], la.run.Output[i])
+		}
+	}
+	if n := w.Metrics.CounterValue("trace.loads.full"); n != 1 {
+		t.Errorf("baseline replay: trace.loads.full = %d, want 1", n)
+	}
 	if st := w.DecodedCache.Stats(); st.Entries == 0 {
-		t.Errorf("decoded cache empty after a warm sweep: %+v", st)
+		t.Errorf("decoded cache empty after a baseline replay: %+v", st)
+	}
+}
+
+// TestBaselineScoreFromCaptureWithoutCache: on a warm directory with no
+// decoded cache, an error cell scores against the baseline capture's output
+// section — the baseline artifacts (replay, analyzer, timing) are never
+// computed — and the score is bit-identical to the live one.
+func TestBaselineScoreFromCaptureWithoutCache(t *testing.T) {
+	dir := t.TempDir()
+	live, err := traceRunner(0.02, "", "kmeans").SplitError("kmeans", BaseMapBits, BaseDataFrac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traceRunner(0.02, dir, "kmeans").SplitError("kmeans", BaseMapBits, BaseDataFrac); err != nil {
+		t.Fatal(err)
+	}
+	w := traceRunner(0.02, dir, "kmeans")
+	w.Metrics = metrics.NewRegistry()
+	got, err := w.SplitError("kmeans", BaseMapBits, BaseDataFrac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(live) {
+		t.Errorf("warm split error %x != live %x", math.Float64bits(got), math.Float64bits(live))
+	}
+	if n := w.base.Computes(); n != 0 {
+		t.Errorf("baseline artifacts computed %d times, want 0", n)
+	}
+	if full, out := w.Metrics.CounterValue("trace.loads.full"), w.Metrics.CounterValue("trace.loads.output"); full != 0 || out != 2 {
+		t.Errorf("loads full=%d output=%d, want 0 and 2 (cell + baseline)", full, out)
 	}
 }

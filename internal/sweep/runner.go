@@ -89,15 +89,16 @@ type Runner struct {
 	// cache — the fault-injection seam chaos tests drive. nil means the OS.
 	TraceFS trace.FS
 
-	// DecodedCache, when non-nil, is a bounded in-memory LRU of decoded
-	// captures keyed by file digest, layered above the on-disk trace store.
-	// Decoded captures are immutable and safe to share, so one cache can
-	// serve many Runners (the sweep server hands all its shards the same
+	// DecodedCache, when non-nil, is a bounded in-memory LRU of fully
+	// decoded captures keyed by file digest, layered above the on-disk trace
+	// store. It holds only captures some consumer replays through a
+	// hierarchy (baseline artifacts, quality cells, the batch planner):
+	// output-only consumers — split/uni/fault error cells and the baseline
+	// score — always take the cheaper output-only read and neither probe nor
+	// fill it. Decoded captures are immutable and safe to share, so one cache
+	// can serve many Runners (the sweep server hands all its shards the same
 	// one): a capture any of them decoded is replayed by the rest without
-	// touching the file beyond its 16-byte digest preamble. While a decoded
-	// cache is attached, every capture load is a full decode — a cached
-	// capture must be able to serve both output-only and hierarchy-replay
-	// consumers.
+	// touching the file beyond its 16-byte digest preamble.
 	DecodedCache *trace.DecodedCache
 	// ReplayBatch, when > 1, turns on single-pass multi-config replay for
 	// quality cells during Prewarm: up to ReplayBatch cells whose captures
@@ -292,31 +293,22 @@ func (r *Runner) BaselineTimingContext(ctx context.Context, name string) (*times
 }
 
 // baselineScore returns the benchmark instance and precise baseline output
-// an error cell scores against. With a decoded cache over a warm trace
-// directory it is served from the baseline's own capture — PR 7's goldens
-// prove the recorded output is bit-identical to the live run's, so the full
-// baseline replay (hierarchy rebuild, snapshot analysis, timing simulation)
-// is skipped entirely on sweeps that only read error cells. Any miss —
-// cold directory, quarantined or unreadable capture, forced re-record —
-// falls back to the complete baseline artifacts.
+// an error cell scores against. Over a warm trace directory it is served
+// from the baseline capture's output section through the output-only read —
+// the golden tables prove the recorded output is bit-identical to the live
+// run's, so the full baseline replay (hierarchy rebuild, snapshot analysis,
+// timing simulation) is skipped entirely on sweeps that only read error
+// cells. Without a trace directory, on any miss (cold directory,
+// quarantined or unreadable capture, forced re-record), or once this Runner
+// holds the full artifacts anyway, it takes them from BaselineContext.
 func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, error) {
-	if r.DecodedCache == nil || r.TraceDir == "" || r.TraceCapture {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		return &baseScore{bench: a.bench, out: a.run.Output}, nil
-	}
 	return r.baseOut.Do(name, func() (*baseScore, error) {
-		f, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		// Someone already paid for (or is computing) the full artifacts in
-		// this Runner; share them instead of decoding the capture again.
-		if !r.base.Has(name) {
-			ident := workloads.CaptureIdent("base/"+name, r.Scale, r.Cores, "")
-			if c := r.loadDecoded(ident); c != nil {
+		if r.TraceDir != "" && !r.TraceCapture && !r.base.Has(name) {
+			f, err := workloads.ByName(name)
+			if err != nil {
+				return nil, err
+			}
+			if c := r.tryLoad(workloads.CaptureIdent("base/"+name, r.Scale, r.Cores, ""), true); c != nil {
 				return &baseScore{bench: f.New(r.Scale), out: c.Output}, nil
 			}
 		}

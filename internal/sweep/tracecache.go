@@ -29,8 +29,9 @@ import (
 // benchmark, any identity the key doesn't already carry (seeds, budgets),
 // the LLC organization, and the run options. fast marks cells that consume
 // only the run's output: on a warm cache they are served straight from the
-// capture without rebuilding a hierarchy (their attachments see no traffic
-// and their metrics snapshots stay empty).
+// capture's output section (the output-only read, never the decoded cache)
+// without rebuilding a hierarchy (their attachments see no traffic and
+// their metrics snapshots stay empty).
 type funcReq struct {
 	key   string
 	name  string
@@ -92,43 +93,68 @@ func (r *Runner) CellCaptureIdent(kind, bench, org string, m int, frac, rate flo
 	return workloads.CaptureIdent(key, r.Scale, r.Cores, extra), true
 }
 
-// loadDecoded serves the fully decoded capture for ident from the shared
-// decoded-capture cache, falling back to — and populating the cache from —
-// the on-disk store. The probe costs only the 16-byte digest preamble on a
-// hit. Any miss (cold directory, stale or corrupt capture, storage trouble)
-// returns nil and leaves recovery to the caller's sequential path; a
-// quarantined file is counted and moved here, exactly as funcRun would
-// have, so net trace.* counters match a sequential sweep's.
-func (r *Runner) loadDecoded(ident string) *trace.Capture {
-	if r.DecodedCache == nil || r.TraceDir == "" {
-		return nil
-	}
+// loadCapture is the trace cache's one capture read: the self-healing load
+// (workloads.LoadCaptureRecover) of the file for ident, counting every
+// successful read as trace.loads.output or trace.loads.full. An output-only
+// read (outputOnly) still verifies every section's CRC, the whole-file
+// digest and the header identity, but materializes only the annotations and
+// output, and it bypasses the decoded cache entirely: that cache holds only
+// captures some consumer replays through a hierarchy. A full read probes the
+// decoded cache first — the probe costs only the 16-byte digest preamble on
+// a hit — and fills it on a decode.
+func (r *Runner) loadCapture(ident string, outputOnly bool) (*trace.Capture, workloads.LoadOutcome, error) {
 	fsys := r.traceFS()
 	path := r.tracePath(ident)
-	if d, err := trace.FileDigestFS(fsys, path); err == nil {
-		if c := r.DecodedCache.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
-			return c
+	if !outputOnly && r.DecodedCache != nil {
+		if d, err := trace.FileDigestFS(fsys, path); err == nil {
+			if c := r.DecodedCache.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
+				return c, workloads.LoadOK, nil
+			}
 		}
 	}
-	c, outcome, err := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, false)
-	switch outcome {
-	case workloads.LoadOK:
-		r.DecodedCache.Put(c.FileCRC, c)
-		return c
-	case workloads.LoadQuarantined:
-		r.Metrics.Counter("trace.quarantines").Add(1)
-		r.logf("capture %s unusable (%v); quarantined for re-recording", filepath.Base(path), err)
+	c, outcome, err := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, outputOnly)
+	if outcome == workloads.LoadOK {
+		if outputOnly {
+			r.Metrics.Counter("trace.loads.output").Add(1)
+		} else {
+			r.Metrics.Counter("trace.loads.full").Add(1)
+			r.cacheDecoded(c)
+		}
 	}
-	return nil
+	return c, outcome, err
+}
+
+// cacheDecoded offers a fully decoded capture to the shared decoded cache,
+// if one is attached.
+func (r *Runner) cacheDecoded(c *trace.Capture) {
+	if r.DecodedCache != nil {
+		r.DecodedCache.Put(c.FileCRC, c)
+	}
+}
+
+// tryLoad serves the capture for ident to a consumer outside funcRun — the
+// batch planner (full) or the baseline score (output-only). Any miss (cold
+// directory, stale or corrupt capture, storage trouble) returns nil and
+// leaves recovery to the caller's sequential path; a quarantined file is
+// counted and moved here, exactly as funcRun would have, so net trace.*
+// counters match a sequential sweep's.
+func (r *Runner) tryLoad(ident string, outputOnly bool) *trace.Capture {
+	c, outcome, err := r.loadCapture(ident, outputOnly)
+	if outcome == workloads.LoadQuarantined {
+		r.Metrics.Counter("trace.quarantines").Add(1)
+		r.logf("capture %s unusable (%v); quarantined for re-recording", filepath.Base(r.tracePath(ident)), err)
+	}
+	return c
 }
 
 // funcRun is the gateway every functional cell goes through. Without a
 // trace directory it is exactly the live path. With one, the first run of a
 // cell executes live (recording) and persists a capture; later runs replay
-// it: output-only cells are served from the embedded output, and cells that
-// need cache-state side effects (baseline snapshots, quality guards) replay
-// the stream through a fresh hierarchy, which evolves bit-identically to
-// the live run.
+// it: output-only cells are served from the embedded output through the
+// output-only read, with or without a decoded cache, and cells that need
+// cache-state side effects (baseline snapshots, quality guards) fully decode
+// the capture (or take it from the decoded cache) and replay the stream
+// through a fresh hierarchy, which evolves bit-identically to the live run.
 //
 // Storage faults never fail a cell (outside -trace-replay): a corrupt or
 // stale capture is quarantined and transparently re-recorded, and an
@@ -153,27 +179,10 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 	capture, err := r.traceCache.Do(ident, func() (*trace.Capture, error) {
 		persist := true
 		if !r.TraceCapture {
-			if r.DecodedCache != nil {
-				// Shared decoded-capture cache: another Runner (or an earlier
-				// sweep over this Runner's cache) may already have decoded
-				// this file — the probe reads only the digest preamble.
-				if d, derr := trace.FileDigestFS(fsys, path); derr == nil {
-					if c := r.DecodedCache.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
-						r.Metrics.Counter("trace.replays").Add(1)
-						r.logf("[%s] replaying decoded capture %s (%s)", req.name, filepath.Base(path), req.key)
-						return c, nil
-					}
-				}
-			}
-			// Output-only cells never rebuild a hierarchy, so skip
-			// materializing the memory image and trace streams they would
-			// not use (the file is still fully integrity-checked). An
-			// ident's fast-ness never varies between requests, so the memo
-			// can never hand a lite capture to a hierarchy replay — and
-			// with a decoded cache attached every load is full, so the
-			// shared cache can serve any consumer.
-			lite := req.fast && r.DecodedCache == nil
-			c, outcome, lerr := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, lite)
+			// Output-only cells take the output-only read (loadCapture). An
+			// ident's fast-ness never varies between requests, so this memo
+			// can never hand such a capture to a hierarchy replay.
+			c, outcome, lerr := r.loadCapture(ident, req.fast)
 			if r.TraceReplay && outcome != workloads.LoadOK {
 				if lerr == nil {
 					lerr = os.ErrNotExist
@@ -184,9 +193,6 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 			case workloads.LoadOK:
 				r.Metrics.Counter("trace.replays").Add(1)
 				r.logf("[%s] replaying capture %s (%s)", req.name, filepath.Base(path), req.key)
-				if r.DecodedCache != nil {
-					r.DecodedCache.Put(c.FileCRC, c)
-				}
 				return c, nil
 			case workloads.LoadMiss:
 				// Cold cache: record below.
@@ -228,10 +234,10 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 				r.logf("[%s] capture %s not persisted (%v); serving live result", req.name, filepath.Base(path), perr)
 			} else {
 				r.Metrics.Counter("trace.records").Add(1)
-				if r.DecodedCache != nil {
-					// WriteFileFS stamped c.FileCRC; the freshly recorded
-					// capture is immediately servable to other Runners.
-					r.DecodedCache.Put(c.FileCRC, c)
+				if !req.fast {
+					// WriteFileFS stamped c.FileCRC; a freshly recorded
+					// replayable capture is servable to other Runners.
+					r.cacheDecoded(c)
 				}
 			}
 		}
