@@ -17,15 +17,18 @@
 # `server-smoke` proves the sweep server's robustness layer under the race
 # detector — memoized dispatch, shard failover, breaker quarantine, the
 # chaos exactly-once/bit-identical proof, the output-only capture read's
-# corruption heal, the trace-cache leak tests, and the sweepd drain/resume
-# end-to-end — and is folded into `race`.
+# corruption heal, the trace-cache leak tests, the cell identity (pinned
+# names, pinned content hashes, rate -0 as rate 0, the submit-path fuzz
+# corpus), and the sweepd drain/resume end-to-end — and is folded into
+# `race`.
 # `batch-smoke` proves single-pass multi-config replay bit-identical to
 # sequential replay under the race detector — the funcsim fan-out and its
 # zero-alloc guard, the decoded-capture cache (LRU eviction under memory
 # pressure included), the workloads-level differential, the sweep-engine
 # batched-vs-sequential differentials, output-only error cells bypassing
-# the decoded cache (and its load counters), and the server's decoded-cache
-# stats and digest routing — and is folded into `race`.
+# the decoded cache (and its load counters), the cell capture identities
+# the planner and digest routing look captures up by, and the server's
+# decoded-cache stats and digest routing — and is folded into `race`.
 # `loadtest` boots a real sweepd, drives it with cmd/loadgen (10k concurrent
 # submissions by default) and regenerates BENCH_8.json.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
@@ -102,8 +105,8 @@ quality-smoke:
 	$(GO) test -race -run 'TestBreakerProperty|TestBreakerDeterminism' ./internal/quality/
 
 server-smoke:
-	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestOutputOnlyReadCorruptTraceSection' ./internal/server/
-	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency' ./internal/sweep/
+	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestOutputOnlyReadCorruptTraceSection|TestNegativeZeroRateOneCell|TestContentHashSeparatesConfigs' ./internal/server/
+	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency|TestCellKey|FuzzCellSubmit' ./internal/sweep/
 	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
 
 loadtest:
@@ -118,7 +121,7 @@ batch-smoke:
 	$(GO) test -race -run 'TestReplayBatch' ./internal/funcsim/
 	$(GO) test -race -run 'TestDecodedDigestFields|TestDecodedCache' ./internal/trace/
 	$(GO) test -race -run 'TestReplayBatchMatchesSequentialRuns' ./internal/workloads/
-	$(GO) test -race -cpu 1,4 -run 'TestBatchedQualityMatchesSequential|TestBatchedErrorCellsMatchSequential|TestBaselineScoreFromCaptureWithoutCache' ./internal/sweep/
+	$(GO) test -race -cpu 1,4 -run 'TestBatchedQualityMatchesSequential|TestBatchedErrorCellsMatchSequential|TestBaselineScoreFromCaptureWithoutCache|TestCellKey' ./internal/sweep/
 	$(GO) test -race -run 'TestServerDecodedCacheAndDigestRouting|TestOutputOnlyReadCorruptTraceSection' ./internal/server/
 	$(GO) test -race -run 'TestEvaluationMetricsCountCaptureLoads' ./
 
@@ -143,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTraceFileDecode$$ -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzQuarantineExactlyOnce$$ -fuzztime=$(FUZZTIME) ./internal/workloads
 	$(GO) test -fuzz=FuzzCheckpointParse$$ -fuzztime=$(FUZZTIME) ./internal/sweep
+	$(GO) test -fuzz=FuzzCellSubmit$$ -fuzztime=$(FUZZTIME) ./internal/sweep
 
 cover:
 	$(GO) test -cover ./... | tee cover.out

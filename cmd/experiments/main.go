@@ -38,6 +38,7 @@ import (
 	"syscall"
 
 	"doppelganger"
+	"doppelganger/internal/sweep"
 )
 
 func main() {
@@ -238,16 +239,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	order := []string{"table2", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table3", "extras", "faults", "quality"}
 	want := map[string]bool{}
 	for _, a := range args {
 		if a == "all" {
 			// "all" covers the paper's tables and figures; the extras, faults
 			// and quality tables are requested explicitly.
-			for _, o := range order {
-				if o != "extras" && o != "faults" && o != "quality" {
-					want[o] = true
-				}
+			for _, x := range sweep.Experiments {
+				want[x.Name] = want[x.Name] || x.Paper
 			}
 			continue
 		}
@@ -257,14 +255,13 @@ func main() {
 	// Fan the requested experiments' simulation grid out over the engine up
 	// front; the emit loop below then renders from warm caches in paper
 	// order.
-	var wanted []string
+	var wanted, known []string
 	dynamic := false
-	for _, o := range order {
-		if want[o] {
-			wanted = append(wanted, o)
-			if o != "table3" && o != "fig13" {
-				dynamic = true
-			}
+	for _, x := range sweep.Experiments {
+		known = append(known, x.Name)
+		if want[x.Name] {
+			wanted = append(wanted, x.Name)
+			dynamic = dynamic || !x.Static
 		}
 	}
 	if dynamic && !*serial {
@@ -273,7 +270,11 @@ func main() {
 		}
 	}
 
-	emit := func(ts ...*doppelganger.Table) {
+	for _, name := range wanted {
+		ts, err := ev.Render(name)
+		if err != nil {
+			fail(err)
+		}
 		for _, t := range ts {
 			switch *format {
 			case "csv":
@@ -287,63 +288,8 @@ func main() {
 			}
 		}
 	}
-	emitErr := func(err error, ts ...*doppelganger.Table) {
-		if err != nil {
-			fail(err)
-		}
-		emit(ts...)
-	}
-	ran := 0
-	for _, name := range order {
-		if !want[name] {
-			continue
-		}
-		ran++
-		switch name {
-		case "table2":
-			t, err := ev.Table2()
-			emitErr(err, t)
-		case "fig2":
-			t, err := ev.Fig2()
-			emitErr(err, t)
-		case "fig7":
-			t, err := ev.Fig7()
-			emitErr(err, t)
-		case "fig8":
-			t, err := ev.Fig8()
-			emitErr(err, t)
-		case "fig9":
-			a, b, err := ev.Fig9()
-			emitErr(err, a, b)
-		case "fig10":
-			a, b, err := ev.Fig10()
-			emitErr(err, a, b)
-		case "fig11":
-			a, b, err := ev.Fig11()
-			emitErr(err, a, b)
-		case "fig12":
-			t, err := ev.Fig12()
-			emitErr(err, t)
-		case "fig13":
-			emit(ev.Fig13())
-		case "fig14":
-			a, b, c, err := ev.Fig14()
-			emitErr(err, a, b, c)
-		case "table3":
-			emit(ev.Table3())
-		case "extras":
-			t, err := ev.Extras()
-			emitErr(err, t)
-		case "faults":
-			t, err := ev.FaultSweep()
-			emitErr(err, t)
-		case "quality":
-			a, b, err := ev.QualitySweep()
-			emitErr(err, a, b)
-		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: nothing matched %v (known: %s, all)\n", args, strings.Join(order, ", "))
+	if len(wanted) == 0 {
+		fmt.Fprintf(os.Stderr, "experiments: nothing matched %v (known: %s, all)\n", args, strings.Join(known, ", "))
 		os.Exit(2)
 	}
 	flush()

@@ -309,13 +309,14 @@ func (o *RunOptions) defaults(kind LLCKind) {
 // doppelsim and an experiments sweep over the same trace directory share
 // capture files.
 func cellKey(name string, kind LLCKind, opt *RunOptions) string {
+	c := sweep.Cell{Kind: "baseline-timing", Bench: name}
 	switch kind {
 	case SplitDoppelganger:
-		return fmt.Sprintf("split/%s/%d/%g", name, opt.MapBits, opt.DataFrac)
+		c = sweep.Cell{Kind: "split-error", Bench: name, M: opt.MapBits, Frac: opt.DataFrac}
 	case UniDoppelganger:
-		return fmt.Sprintf("uni/%s/%d/%g", name, opt.MapBits, opt.DataFrac)
+		c = sweep.Cell{Kind: "uni-error", Bench: name, M: opt.MapBits, Frac: opt.DataFrac}
 	}
-	return "base/" + name
+	return c.Stem()
 }
 
 // runRouted is the facade's trace-cache gateway: without a trace directory
@@ -424,7 +425,7 @@ func RunBenchmarkContext(ctx context.Context, name string, kind LLCKind, opt Run
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			precise, preciseErr = runRouted(ctx, &opt, name, "base/"+name, mk,
+			precise, preciseErr = runRouted(ctx, &opt, name, cellKey(name, Baseline, &opt), mk,
 				workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{Cores: opt.Cores})
 		}()
 	}
@@ -504,7 +505,7 @@ func RunMultiprogram(names []string, kind LLCKind, opt RunOptions) (*BenchmarkRe
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			precise, preciseErr = runRouted(ctx, &opt, mpName, "mp/base/"+mpName, mk,
+			precise, preciseErr = runRouted(ctx, &opt, mpName, "mp/"+cellKey(mpName, Baseline, &opt), mk,
 				workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{Cores: opt.Cores})
 		}()
 	}
@@ -569,7 +570,7 @@ func RunTiming(name string, kind LLCKind, opt RunOptions) (*TimingComparison, er
 	if err != nil {
 		return nil, err
 	}
-	run, err := runRouted(context.Background(), &opt, name, "base/"+name,
+	run, err := runRouted(context.Background(), &opt, name, cellKey(name, Baseline, &opt),
 		func() *workloads.Benchmark { return f.New(opt.Scale) },
 		workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{Cores: opt.Cores, Record: true})
 	if err != nil {
@@ -816,6 +817,10 @@ func (e *Evaluation) PrewarmFor(names ...string) error {
 func (e *Evaluation) PrewarmForContext(ctx context.Context, names ...string) error {
 	return e.r.PrewarmContext(ctx, sweep.GridFor(names...))
 }
+
+// Render builds the named experiment's tables (table2, fig2 … fig14,
+// table3, extras, faults, quality) in print order.
+func (e *Evaluation) Render(name string) ([]*Table, error) { return e.r.Render(name) }
 
 // Table2 is the approximate LLC footprint per benchmark.
 func (e *Evaluation) Table2() (*Table, error) { return e.r.Table2() }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"doppelganger/internal/sweep"
 )
 
 // maxBodyBytes bounds a job request body; cells are tiny.
@@ -75,10 +77,8 @@ func (s *Server) Handler() http.Handler {
 // 400 invalid cell, 429 shed (with Retry-After), 503 draining, 504 job
 // deadline, 500 exhausted retries.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var c Cell
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	c, err := sweep.DecodeCell(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}

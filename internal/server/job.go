@@ -10,149 +10,16 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"math"
 
 	"doppelganger/internal/sweep"
-	"doppelganger/internal/workloads"
 )
 
-// Cell names one unit of sweep work: a single experiment cell (one memoized
-// simulation result) or a whole figure. The JSON form is the POST /v1/jobs
-// request body.
-type Cell struct {
-	// Kind selects the computation:
-	//   split-error, split-timing    — split Doppelgänger at (M, Frac)
-	//   uni-error, uni-timing        — uniDoppelgänger at (M, Frac)
-	//   fault-error                  — Org under injection at Rate
-	//   quality-error                — guarded run of Org at Rate
-	//   quality-timing               — timing replay of Org at Rate (Guarded?)
-	//   baseline-timing              — the precise baseline timing run
-	//   figure                       — a whole experiment table (Figure)
-	Kind  string  `json:"kind"`
-	Bench string  `json:"bench,omitempty"`
-	M     int     `json:"m,omitempty"`
-	Frac  float64 `json:"frac,omitempty"`
-	Org   string  `json:"org,omitempty"`
-	Rate  float64 `json:"rate,omitempty"`
-	// Guarded selects guard-on vs guard-off for quality-timing.
-	Guarded bool `json:"guarded,omitempty"`
-	// Figure names the table for Kind "figure": table2, fig2, fig7..fig14,
-	// table3, extras, faults, quality.
-	Figure string `json:"figure,omitempty"`
-}
-
-// figureNames are the Kind "figure" jobs the server accepts.
-var figureNames = map[string]bool{
-	"table2": true, "fig2": true, "fig7": true, "fig8": true, "fig9": true,
-	"fig10": true, "fig11": true, "fig12": true, "fig13": true, "fig14": true,
-	"table3": true, "extras": true, "faults": true, "quality": true,
-}
-
-func inList(s string, list []string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// Validate rejects cells the runner could only fail on mid-simulation, with
-// a message that names the offending field (the flagcheck discipline applied
-// to the wire).
-func (c Cell) Validate() error {
-	needBench := c.Kind != "figure"
-	if needBench {
-		if _, err := workloads.ByName(c.Bench); err != nil {
-			return fmt.Errorf("cell bench: %v", err)
-		}
-	}
-	switch c.Kind {
-	case "split-error", "split-timing", "uni-error", "uni-timing":
-		if c.M < 1 || c.M > 32 {
-			return fmt.Errorf("cell m must be between 1 and 32 bits, got %d", c.M)
-		}
-		if !(c.Frac > 0 && c.Frac <= 1) {
-			return fmt.Errorf("cell frac must be in (0,1], got %v", c.Frac)
-		}
-		// The builders would panic on a geometry the data array cannot hold
-		// (entries not divisible by ways); refuse it at the front door instead
-		// of letting it look like a shard crash and feed the breakers.
-		geo := workloads.SplitDoppelConfig(c.M, c.Frac)
-		if c.Kind == "uni-error" || c.Kind == "uni-timing" {
-			geo = workloads.UnifiedDoppelConfig(c.M, c.Frac)
-		}
-		if err := geo.Validate(); err != nil {
-			return fmt.Errorf("cell m/frac geometry: %v", err)
-		}
-	case "fault-error":
-		if !inList(c.Org, sweep.FaultOrgs) {
-			return fmt.Errorf("cell org %q unknown (want one of %v)", c.Org, sweep.FaultOrgs)
-		}
-		if !(c.Rate >= 0 && c.Rate <= 1) {
-			return fmt.Errorf("cell rate must be a probability in [0,1], got %v", c.Rate)
-		}
-	case "quality-error", "quality-timing":
-		if !inList(c.Org, sweep.GuardedOrgs) {
-			return fmt.Errorf("cell org %q unknown (want one of %v)", c.Org, sweep.GuardedOrgs)
-		}
-		if !(c.Rate >= 0 && c.Rate <= 1) {
-			return fmt.Errorf("cell rate must be a probability in [0,1], got %v", c.Rate)
-		}
-	case "baseline-timing":
-	case "figure":
-		if !figureNames[c.Figure] {
-			return fmt.Errorf("cell figure %q unknown", c.Figure)
-		}
-	default:
-		return fmt.Errorf("cell kind %q unknown", c.Kind)
-	}
-	return nil
-}
-
-// Key returns the cell's unique identity, matching the runner's memo keys
-// with the checkpoint's result-kind suffix, so server results, checkpoint
-// records and runner caches all speak the same names.
-func (c Cell) Key() string {
-	switch c.Kind {
-	case "split-error":
-		return fmt.Sprintf("split/%s/%d/%g/error", c.Bench, c.M, c.Frac)
-	case "split-timing":
-		return fmt.Sprintf("split/%s/%d/%g/timing", c.Bench, c.M, c.Frac)
-	case "uni-error":
-		return fmt.Sprintf("uni/%s/%d/%g/error", c.Bench, c.M, c.Frac)
-	case "uni-timing":
-		return fmt.Sprintf("uni/%s/%d/%g/timing", c.Bench, c.M, c.Frac)
-	case "fault-error":
-		return fmt.Sprintf("fault/%s/%s/%g/error", c.Org, c.Bench, c.Rate)
-	case "quality-error":
-		return fmt.Sprintf("quality/%s/%s/%g/quality", c.Org, c.Bench, c.Rate)
-	case "quality-timing":
-		mode := "time-off"
-		if c.Guarded {
-			mode = "time-on"
-		}
-		return fmt.Sprintf("quality/%s/%s/%g/%s/timing", c.Org, c.Bench, c.Rate, mode)
-	case "baseline-timing":
-		return fmt.Sprintf("base/%s/timing", c.Bench)
-	case "figure":
-		return "figure/" + c.Figure
-	}
-	return "invalid/" + c.Kind
-}
-
-// RouteKey is what the consistent-hash ring routes on: the benchmark name,
-// so every cell of one benchmark lands on the shard holding its warm
-// baseline artifacts (figures route on their own name — they touch the whole
-// suite anyway).
-func (c Cell) RouteKey() string {
-	if c.Kind == "figure" {
-		return "figure/" + c.Figure
-	}
-	return c.Bench
-}
+// Cell names one unit of sweep work — a single experiment cell or a whole
+// figure — and is the POST /v1/jobs request body. Every name it has (key,
+// route key, capture identity, seeds) is derived in sweep.Cell.
+type Cell = sweep.Cell
 
 // payload is the deterministic content of a job result: exactly one of the
 // value fields is set, per Kind. It deliberately excludes anything volatile
@@ -173,8 +40,6 @@ type payload struct {
 // the canonical payload bytes, computed at result creation on the shard.
 // The dispatcher recomputes it on receipt; a mismatch means the bytes were
 // corrupted after the shard sealed them, and the job is retried elsewhere.
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-
 func checksum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
@@ -184,161 +49,31 @@ func checksum(b []byte) uint64 {
 // executeCell runs one cell on a shard's runner and seals its canonical
 // payload. Everything here is deterministic in (cell, runner config): fault
 // and canary seeds derive from (seed, task key), never from worker or shard
-// identity, so any shard produces bit-identical bytes.
+// identity, so any shard produces bit-identical bytes. Figure jobs render a
+// whole experiment's tables, computing their missing cells serially inside
+// the runner (no per-cell cancellation), so they are the coarse-grained end
+// of the job spectrum; the drain timeout still bounds them.
 func executeCell(ctx context.Context, r *sweep.Runner, c Cell) ([]byte, error) {
 	p := payload{Key: c.Key(), Kind: c.Kind}
-	switch c.Kind {
-	case "split-error":
-		v, err := r.SplitErrorContext(ctx, c.Bench, c.M, c.Frac)
+	if c.Kind == "figure" {
+		tables, err := r.Render(c.Figure)
 		if err != nil {
 			return nil, err
 		}
-		p.Bits = floatBits(v)
-	case "uni-error":
-		v, err := r.UnifiedErrorContext(ctx, c.Bench, c.M, c.Frac)
-		if err != nil {
-			return nil, err
+		for _, t := range tables {
+			p.Tables = append(p.Tables, json.RawMessage(t.FormatJSON()))
 		}
-		p.Bits = floatBits(v)
-	case "fault-error":
-		v, err := r.FaultErrorContext(ctx, c.Bench, c.Org, c.Rate)
-		if err != nil {
-			return nil, err
-		}
-		p.Bits = floatBits(v)
-	case "split-timing":
-		res, err := r.SplitTimingContext(ctx, c.Bench, c.M, c.Frac)
-		if err != nil {
-			return nil, err
-		}
-		p.Timing = sweep.Summarize(res)
-	case "uni-timing":
-		res, err := r.UnifiedTimingContext(ctx, c.Bench, c.M, c.Frac)
-		if err != nil {
-			return nil, err
-		}
-		p.Timing = sweep.Summarize(res)
-	case "baseline-timing":
-		res, err := r.BaselineTimingContext(ctx, c.Bench)
-		if err != nil {
-			return nil, err
-		}
-		p.Timing = sweep.Summarize(res)
-	case "quality-timing":
-		res, err := r.QualityTimingContext(ctx, c.Bench, c.Org, c.Rate, c.Guarded)
-		if err != nil {
-			return nil, err
-		}
-		p.Timing = sweep.Summarize(res)
-	case "quality-error":
-		q, err := r.QualityErrorContext(ctx, c.Bench, c.Org, c.Rate)
-		if err != nil {
-			return nil, err
-		}
-		p.Quality = q
-	case "figure":
-		tables, err := figureTables(r, c.Figure)
-		if err != nil {
-			return nil, err
-		}
-		p.Tables = tables
-	default:
-		return nil, fmt.Errorf("server: cell kind %q unknown", c.Kind)
+		return json.Marshal(p)
+	}
+	res, err := r.RunCell(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	p.Bits, p.Quality = math.Float64bits(res.Error), res.Quality
+	if res.Timing != nil {
+		p.Timing = sweep.Summarize(res.Timing)
 	}
 	return json.Marshal(p)
-}
-
-// figureTables renders one whole experiment table set. Figure jobs compute
-// their missing cells serially inside the runner (no per-cell cancellation),
-// so they are the coarse-grained end of the job spectrum; the drain timeout
-// still bounds them.
-func figureTables(r *sweep.Runner, name string) ([]json.RawMessage, error) {
-	collect := func(tables ...*sweep.Table) []json.RawMessage {
-		out := make([]json.RawMessage, len(tables))
-		for i, t := range tables {
-			out[i] = json.RawMessage(t.FormatJSON())
-		}
-		return out
-	}
-	switch name {
-	case "table2":
-		t, err := r.Table2()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig2":
-		t, err := r.Fig2()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig7":
-		t, err := r.Fig7()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig8":
-		t, err := r.Fig8()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig9":
-		a, b, err := r.Fig9()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	case "fig10":
-		a, b, err := r.Fig10()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	case "fig11":
-		a, b, err := r.Fig11()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	case "fig12":
-		t, err := r.Fig12()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig13":
-		return collect(r.Fig13()), nil
-	case "fig14":
-		a, b, c, err := r.Fig14()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b, c), nil
-	case "table3":
-		return collect(r.Table3()), nil
-	case "extras":
-		t, err := r.Extras()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "faults":
-		t, err := r.FaultSweep()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "quality":
-		a, b, err := r.QualitySweep()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	}
-	return nil, fmt.Errorf("server: figure %q unknown", name)
 }
 
 // Result is the envelope a completed job returns: the deterministic payload

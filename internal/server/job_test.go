@@ -1,8 +1,13 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"doppelganger/internal/faults"
 )
 
 func TestCellValidate(t *testing.T) {
@@ -45,31 +50,6 @@ func TestCellValidate(t *testing.T) {
 	}
 }
 
-// TestCellKey pins the key grammar to the runner's memo keys plus the
-// checkpoint's result-kind suffix — resume and server memoization both
-// depend on these exact spellings.
-func TestCellKey(t *testing.T) {
-	cases := []struct {
-		cell Cell
-		want string
-	}{
-		{Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}, "split/kmeans/14/0.25/error"},
-		{Cell{Kind: "split-timing", Bench: "kmeans", M: 14, Frac: 0.25}, "split/kmeans/14/0.25/timing"},
-		{Cell{Kind: "uni-error", Bench: "jpeg", M: 14, Frac: 0.5}, "uni/jpeg/14/0.5/error"},
-		{Cell{Kind: "fault-error", Bench: "kmeans", Org: "doppel", Rate: 1e-4}, "fault/doppel/kmeans/0.0001/error"},
-		{Cell{Kind: "quality-error", Bench: "kmeans", Org: "uni", Rate: 1e-4}, "quality/uni/kmeans/0.0001/quality"},
-		{Cell{Kind: "quality-timing", Bench: "kmeans", Org: "doppel", Rate: 1e-4}, "quality/doppel/kmeans/0.0001/time-off/timing"},
-		{Cell{Kind: "quality-timing", Bench: "kmeans", Org: "doppel", Rate: 1e-4, Guarded: true}, "quality/doppel/kmeans/0.0001/time-on/timing"},
-		{Cell{Kind: "baseline-timing", Bench: "sobel"}, "base/sobel/timing"},
-		{Cell{Kind: "figure", Figure: "fig10"}, "figure/fig10"},
-	}
-	for _, tc := range cases {
-		if got := tc.cell.Key(); got != tc.want {
-			t.Errorf("Key(%+v) = %q, want %q", tc.cell, got, tc.want)
-		}
-	}
-}
-
 // TestCellRouteKey verifies cells route by benchmark (memo locality: a
 // benchmark's cells share its warm baseline) and figures by their own name.
 func TestCellRouteKey(t *testing.T) {
@@ -103,12 +83,31 @@ func TestChecksumDetectsMutation(t *testing.T) {
 // (on this small grid), while the same config hashes identically.
 func TestContentHashSeparatesConfigs(t *testing.T) {
 	mk := func(cfg Config) *Server {
-		return &Server{cfg: cfg.withDefaults()}
+		cfg.Shards = 1
+		return mustServer(t, cfg)
 	}
 	a := mk(Config{Scale: 0.02})
 	cell := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
 	if a.contentHash(cell) != mk(Config{Scale: 0.02}).contentHash(cell) {
 		t.Fatal("same config, same cell: hashes differ")
+	}
+	// The hashes themselves are the memo identity a restarted or resumed
+	// server must reproduce: pin a few, under default and non-default knobs.
+	knobs := mk(Config{Scale: 0.05, FaultSeed: 7, FaultModel: faults.StuckAt1, QualitySeed: 9, QualityBudget: 0.1, CanaryRate: 0.02})
+	for _, pin := range []struct {
+		s    *Server
+		cell Cell
+		want string
+	}{
+		{a, cell, "bd8bf3fe223e1f4e"},
+		{knobs, cell, "58ce5a6a03a2c7b8"},
+		{knobs, Cell{Kind: "quality-error", Bench: "kmeans", Org: "uni", Rate: 1e-4}, "90e7889e9ebc8ad5"},
+		{knobs, Cell{Kind: "quality-timing", Bench: "kmeans", Org: "doppel", Rate: 0.001, Guarded: true}, "2ba3d66aa834e0ae"},
+		{a, Cell{Kind: "figure", Figure: "fig10"}, "8071e2bb5a31795f"},
+	} {
+		if got := pin.s.contentHash(pin.cell); got != pin.want {
+			t.Errorf("content hash of %s = %s, want %s", pin.cell.Key(), got, pin.want)
+		}
 	}
 	seen := map[string]string{}
 	add := func(label, h string) {
@@ -124,4 +123,46 @@ func TestContentHashSeparatesConfigs(t *testing.T) {
 	add("other fault seed", mk(Config{Scale: 0.02, FaultSeed: 7}).contentHash(cell))
 	add("other quality seed", mk(Config{Scale: 0.02, QualitySeed: 7}).contentHash(cell))
 	add("other budget", mk(Config{Scale: 0.02, QualityBudget: 0.1}).contentHash(cell))
+}
+
+// TestNegativeZeroRateOneCell: JSON "rate": -0 decodes to negative zero,
+// which Validate accepts. It must name the same cell as rate 0 — one
+// compute, one key — and keep that key through the drain state file, whose
+// omitempty drops the -0.
+func TestNegativeZeroRateOneCell(t *testing.T) {
+	s := mustServer(t, testConfig())
+	var keys []string
+	var cells []Cell
+	for _, body := range []string{
+		`{"kind":"fault-error","bench":"kmeans","org":"baseline","rate":-0}`,
+		`{"kind":"fault-error","bench":"kmeans","org":"baseline","rate":0}`,
+	} {
+		var c Cell
+		if err := json.Unmarshal([]byte(body), &c); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.SubmitLocal(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, c)
+		keys = append(keys, res.Key)
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("rate -0 and 0 got different keys: %q vs %q", keys[0], keys[1])
+	}
+	if n := s.Computes(); n != 1 {
+		t.Errorf("rate -0 and 0 computed %d times, want 1", n)
+	}
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := WriteState(path, cells[:1]); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 1 || back[0].Key() != keys[0] {
+		t.Errorf("drained cell %+v resumes as %+v, key %q -> %q", cells[0], back, keys[0], back[0].Key())
+	}
 }

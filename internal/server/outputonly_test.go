@@ -102,7 +102,7 @@ func TestOutputOnlyReadCorruptTraceSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ident, _ := cold.CellCaptureIdent("split-error", "kmeans", "", sweep.BaseMapBits, sweep.BaseDataFrac, 0)
+		ident, _ := Cell{Kind: "split-error", Bench: "kmeans", M: sweep.BaseMapBits, Frac: sweep.BaseDataFrac}.CaptureIdent(cold)
 		flipTraceSection(t, workloads.CapturePath(dir, ident))
 
 		w := runner()
@@ -139,7 +139,7 @@ func TestOutputOnlyReadCorruptTraceSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ident, _ := first.shards[0].runner.CellCaptureIdent("split-error", "kmeans", "", cell.M, cell.Frac, 0)
+		ident, _ := cell.CaptureIdent(first.shards[0].runner)
 		first.Close()
 
 		// Corrupt after the startup scrub, so the cell's own read meets it.

@@ -402,19 +402,12 @@ func (s *Server) KillShard(i int) {
 // exists — the benchmark's baseline capture digest, so re-recording the
 // trace substrate invalidates the memo entry.
 func (s *Server) contentHash(c Cell) string {
-	budget := s.cfg.QualityBudget
-	if budget == 0 {
-		budget = sweep.DefaultQualityBudget
-	}
-	canary := s.cfg.CanaryRate
-	if canary == 0 {
-		canary = sweep.DefaultCanaryRate
-	}
+	// Every shard runner is configured identically; shard 0's names the cell.
+	r := s.shards[0].runner
 	h := fnv.New64a()
-	fmt.Fprintf(h, "sweepd1|%s|scale=%g|cores=%d|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-		c.Key(), s.cfg.Scale, s.cfg.Cores, s.cfg.FaultSeed, s.cfg.FaultModel, s.cfg.QualitySeed, budget, canary)
+	fmt.Fprintf(h, "sweepd1|%s|scale=%g|cores=%d%s", c.Key(), r.Scale, r.Cores, r.Knobs())
 	if s.cfg.TraceDir != "" && c.Bench != "" {
-		ident := workloads.CaptureIdent("base/"+c.Bench, s.cfg.Scale, s.cfg.Cores, "")
+		ident, _ := Cell{Kind: "baseline-timing", Bench: c.Bench}.CaptureIdent(r)
 		if d, err := trace.FileDigest(workloads.CapturePath(s.cfg.TraceDir, ident)); err == nil {
 			fmt.Fprintf(h, "|tdigest=%016x", d)
 		}
@@ -541,9 +534,7 @@ func (s *Server) routeKey(c Cell) string {
 	if s.decoded == nil || len(s.shards) == 0 {
 		return c.RouteKey()
 	}
-	// Every shard runner is configured identically; shard 0's maps the cell
-	// to its capture identity.
-	ident, ok := s.shards[0].runner.CellCaptureIdent(c.Kind, c.Bench, c.Org, c.M, c.Frac, c.Rate)
+	ident, ok := c.CaptureIdent(s.shards[0].runner)
 	if !ok {
 		return c.RouteKey()
 	}

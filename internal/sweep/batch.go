@@ -2,10 +2,7 @@ package sweep
 
 import (
 	"context"
-	"fmt"
-	"math"
 
-	"doppelganger/internal/faults"
 	"doppelganger/internal/metrics"
 	"doppelganger/internal/quality"
 	"doppelganger/internal/trace"
@@ -34,9 +31,7 @@ func (r *Runner) batchEnabled() bool {
 
 // batchCell is one guarded quality cell a batched replay can serve.
 type batchCell struct {
-	org  string
-	rate float64
-	key  string
+	cell Cell
 	cap  *trace.Capture
 }
 
@@ -50,17 +45,14 @@ func (r *Runner) runQualityBatch(ctx context.Context, name string) error {
 	var cells []batchCell
 	for _, org := range GuardedOrgs {
 		for _, rate := range r.faultRates() {
-			key := fmt.Sprintf("quality/%s/%s/%g", org, name, rate)
-			if r.qualityCache.Has(key) {
+			c := Cell{Kind: "quality-error", Bench: name, Org: org, Rate: rate}
+			if r.qualityCache.Has(c.Stem()) {
 				continue
 			}
-			extra := fmt.Sprintf("|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-				r.FaultSeed, r.FaultModel, r.QualitySeed, r.qualityBudget(), r.canaryRate())
-			c := r.tryLoad(workloads.CaptureIdent(key, r.Scale, r.Cores, extra), false)
-			if c == nil {
-				continue
+			ident, _ := c.CaptureIdent(r)
+			if capt := r.tryLoad(ident, false); capt != nil {
+				cells = append(cells, batchCell{cell: c, cap: capt})
 			}
-			cells = append(cells, batchCell{org: org, rate: rate, key: key, cap: c})
 		}
 	}
 	// Group by stream digest in grid order; a group's captures differ at
@@ -119,22 +111,15 @@ func (r *Runner) replayQualityGroup(ctx context.Context, name string, digest uin
 	children := make([]*metrics.Registry, len(cells))
 	guards := make([]*quality.Controller, len(cells))
 	for i, c := range cells {
-		builder, err := faultBuilder(c.org)
-		if err != nil {
-			return err
-		}
-		inj := faults.New(faults.Config{
-			Seed:  faults.Derive(r.FaultSeed, fmt.Sprintf("fault/%s/%s/%g", c.org, name, c.rate)),
-			Model: r.FaultModel,
-			Rate:  c.rate,
-		})
-		qc, err := r.newGuard(c.key)
+		builder, err := c.cell.builder()
 		if err != nil {
 			return err
 		}
 		child := r.instrument()
-		inj.AttachMetrics(child)
-		qc.AttachMetrics(child)
+		inj, qc, err := r.attachments(c.cell, child)
+		if err != nil {
+			return err
+		}
 		specs[i] = workloads.ReplaySpec{LLCB: builder, Opt: workloads.RunOptions{
 			Cores: r.Cores, Metrics: child, Faults: inj, Quality: qc,
 		}}
@@ -150,22 +135,11 @@ func (r *Runner) replayQualityGroup(ctx context.Context, name string, digest uin
 		return nil
 	}
 	for i, c := range cells {
+		key := c.cell.Stem()
 		r.Metrics.Counter("trace.replays").Add(1)
-		r.collect(c.key+"/func", children[i])
-		s := guards[i].Stats()
-		outcome := &QualityOutcome{
-			TrueErrorBits: math.Float64bits(a.bench.Error(a.out, runs[i].Output)),
-			EstimateBits:  math.Float64bits(guards[i].Estimate()),
-			FinalState:    guards[i].State(),
-			Trips:         s.Trips,
-			Reentries:     s.Reentries,
-			Canaries:      s.Canaries,
-			CanaryDraws:   s.CanaryDraws,
-			ApproxOps:     s.ApproxOps,
-			Bypassed:      s.Bypassed,
-			Transitions:   guards[i].Transitions(),
-		}
-		if _, err := r.qualityDo(c.key, func() (*QualityOutcome, error) { return outcome, nil }); err != nil {
+		r.collect(key+"/func", children[i])
+		outcome := qualityOutcome(a, runs[i].Output, guards[i])
+		if _, err := r.qualityDo(key, func() (*QualityOutcome, error) { return outcome, nil }); err != nil {
 			return err
 		}
 	}

@@ -45,35 +45,66 @@ func FullGrid(extras bool) Grid {
 	return Grid{MapSpaces: MapSpaces, DataFracs: DataFracs, UniFracs: UniFracs, Extras: extras}
 }
 
-// GridFor returns the smallest grid covering the named experiments (table2,
-// fig2 … fig14, table3, extras, faults), so a partial run only simulates
-// what its tables render. Unknown names conservatively widen to the full
-// grid.
+// GridFor returns the smallest grid covering the named experiments (see
+// Experiments), so a partial run only simulates what its tables render.
+// Unknown names conservatively widen to the full grid.
 func GridFor(names ...string) Grid {
 	var g Grid
 	for _, n := range names {
-		switch n {
-		case "table2", "fig2", "fig7", "fig8":
-			// Rendered from the baseline artifacts alone.
-		case "fig9":
-			g.MapSpaces = MapSpaces
-		case "fig10", "fig11", "fig12":
-			g.DataFracs = DataFracs
-		case "fig14":
-			g.UniFracs = UniFracs
-		case "extras":
-			g.Extras = true
-		case "faults":
-			g.Faults = true
-		case "quality":
-			g.Quality = true
-		case "fig13", "table3":
-			// Static hardware-model tables; no simulations.
-		default:
+		x, ok := experimentNamed(n)
+		if !ok {
 			return FullGrid(true)
+		}
+		if x.grid != nil {
+			x.grid(&g)
 		}
 	}
 	return g
+}
+
+// cells enumerates one benchmark's variant cells in engine order. A cell
+// several experiments share appears more than once; the engine keeps the
+// first.
+func (g Grid) cells(name string, rates []float64) []Cell {
+	var cs []Cell
+	pair := func(family string, m int, frac float64) {
+		cs = append(cs, Cell{Kind: family + "-error", Bench: name, M: m, Frac: frac},
+			Cell{Kind: family + "-timing", Bench: name, M: m, Frac: frac})
+	}
+	for _, m := range g.MapSpaces {
+		pair("split", m, BaseDataFrac)
+	}
+	for _, frac := range g.DataFracs {
+		pair("split", BaseMapBits, frac)
+	}
+	for _, frac := range g.UniFracs {
+		pair("uni", BaseMapBits, frac)
+	}
+	if g.Extras {
+		pair("split", BaseMapBits, BaseDataFrac) // the column every extra is compared against
+		for _, x := range extrasConfigs() {
+			cs = append(cs, Cell{Kind: x.kind, Bench: name, Org: x.tag})
+		}
+	}
+	if g.Faults || g.Quality {
+		for _, org := range FaultOrgs {
+			for _, rate := range rates {
+				cs = append(cs, Cell{Kind: "fault-error", Bench: name, Org: org, Rate: rate})
+			}
+		}
+	}
+	if g.Quality {
+		for _, org := range GuardedOrgs {
+			for _, rate := range rates {
+				q := Cell{Kind: "quality-error", Bench: name, Org: org, Rate: rate}
+				off := Cell{Kind: "quality-timing", Bench: name, Org: org, Rate: rate}
+				on := off
+				on.Guarded = true
+				cs = append(cs, q, off, on)
+			}
+		}
+	}
+	return cs
 }
 
 // task is one node of the engine's dependency graph: a unit of simulation
@@ -108,115 +139,44 @@ func (r *Runner) PrewarmContext(ctx context.Context, g Grid) error {
 		benchmarks = r.Benchmarks()
 	}
 	var tasks []*task
-	for _, name := range benchmarks {
-		name := name
-		base := &task{label: name + "/baseline", run: func(ctx context.Context) error {
-			_, err := r.BaselineContext(ctx, name)
-			return err
-		}}
-		tasks = append(tasks, base)
-
-		seen := map[string]bool{}
-		variantOn := func(parent *task, label string, run func(ctx context.Context) error) {
-			if seen[label] {
-				return
-			}
-			seen[label] = true
-			t := &task{label: label, run: run, waiting: 1}
+	add := func(parent *task, label string, run func(ctx context.Context) error) *task {
+		t := &task{label: label, run: run}
+		if parent != nil {
+			t.waiting = 1
 			parent.dependents = append(parent.dependents, t)
-			tasks = append(tasks, t)
 		}
-		variant := func(label string, run func(ctx context.Context) error) {
-			variantOn(base, label, run)
+		tasks = append(tasks, t)
+		return t
+	}
+	cellTask := func(c Cell) func(ctx context.Context) error {
+		return func(ctx context.Context) error {
+			_, err := r.RunCell(ctx, c)
+			return err
 		}
-		split := func(m int, frac float64) {
-			variant(fmt.Sprintf("%s/split/M%d/data%g/error", name, m, frac), func(ctx context.Context) error {
-				_, err := r.SplitErrorContext(ctx, name, m, frac)
-				return err
-			})
-			variant(fmt.Sprintf("%s/split/M%d/data%g/timing", name, m, frac), func(ctx context.Context) error {
-				_, err := r.SplitTimingContext(ctx, name, m, frac)
-				return err
-			})
-		}
-		for _, m := range g.MapSpaces {
-			split(m, BaseDataFrac)
-		}
-		for _, frac := range g.DataFracs {
-			split(BaseMapBits, frac)
-		}
-		for _, frac := range g.UniFracs {
-			frac := frac
-			variant(fmt.Sprintf("%s/uni/data%g/error", name, frac), func(ctx context.Context) error {
-				_, err := r.UnifiedErrorContext(ctx, name, BaseMapBits, frac)
-				return err
-			})
-			variant(fmt.Sprintf("%s/uni/data%g/timing", name, frac), func(ctx context.Context) error {
-				_, err := r.UnifiedTimingContext(ctx, name, BaseMapBits, frac)
-				return err
-			})
-		}
-		if g.Extras {
-			split(BaseMapBits, BaseDataFrac) // the column every extra is compared against
-			for _, x := range extrasConfigs() {
-				x := x
-				if x.timing {
-					variant(fmt.Sprintf("%s/custom/%s/timing", name, x.tag), func(ctx context.Context) error {
-						_, err := r.customTimingContext(ctx, name, x.cfg, x.tag)
-						return err
-					})
-				} else {
-					variant(fmt.Sprintf("%s/custom/%s/error", name, x.tag), func(ctx context.Context) error {
-						_, err := r.customErrorContext(ctx, name, x.cfg, x.tag)
-						return err
+	}
+	for _, name := range benchmarks {
+		base := add(nil, baseline(name).Key(), cellTask(baseline(name)))
+		var batch *task
+		seen := map[string]bool{}
+		for _, c := range g.cells(name, r.faultRates()) {
+			if seen[c.Key()] {
+				continue
+			}
+			seen[c.Key()] = true
+			parent := base
+			if c.Kind == "quality-error" && r.batchEnabled() {
+				// One planner task replays every group of identical-stream
+				// guarded cells in a single pass; the per-cell error tasks run
+				// after it and find their outcomes memoized (or compute
+				// sequentially whatever the batch could not serve).
+				if batch == nil {
+					batch = add(base, name+"/quality-batch", func(ctx context.Context) error {
+						return r.runQualityBatch(ctx, name)
 					})
 				}
+				parent = batch
 			}
-		}
-		if g.Faults || g.Quality {
-			for _, org := range FaultOrgs {
-				org := org
-				for _, rate := range r.faultRates() {
-					rate := rate
-					variant(fmt.Sprintf("%s/fault/%s/%g", name, org, rate), func(ctx context.Context) error {
-						_, err := r.FaultErrorContext(ctx, name, org, rate)
-						return err
-					})
-				}
-			}
-		}
-		if g.Quality {
-			// With batching on, one planner task replays every group of
-			// identical-stream guarded cells in a single pass; the per-cell
-			// error tasks run after it and find their outcomes memoized
-			// (or compute sequentially whatever the batch could not serve).
-			qparent := base
-			if r.batchEnabled() {
-				bt := &task{label: name + "/quality-batch", waiting: 1, run: func(ctx context.Context) error {
-					return r.runQualityBatch(ctx, name)
-				}}
-				base.dependents = append(base.dependents, bt)
-				tasks = append(tasks, bt)
-				qparent = bt
-			}
-			for _, org := range GuardedOrgs {
-				org := org
-				for _, rate := range r.faultRates() {
-					rate := rate
-					variantOn(qparent, fmt.Sprintf("%s/quality/%s/%g/error", name, org, rate), func(ctx context.Context) error {
-						_, err := r.QualityErrorContext(ctx, name, org, rate)
-						return err
-					})
-					variant(fmt.Sprintf("%s/quality/%s/%g/time-off", name, org, rate), func(ctx context.Context) error {
-						_, err := r.QualityTimingContext(ctx, name, org, rate, false)
-						return err
-					})
-					variant(fmt.Sprintf("%s/quality/%s/%g/time-on", name, org, rate), func(ctx context.Context) error {
-						_, err := r.QualityTimingContext(ctx, name, org, rate, true)
-						return err
-					})
-				}
-			}
+			add(parent, c.Key(), cellTask(c))
 		}
 	}
 	return r.runTasks(ctx, tasks)

@@ -7,6 +7,84 @@ import (
 	"doppelganger/internal/energy"
 )
 
+// Experiment is one named table set of the evaluation. The ordered list of
+// them (Experiments) is the one place an experiment's name, its share of the
+// simulation grid and its rendering are spelled out: the CLI, the sweep
+// server's figure jobs and GridFor all look experiments up here.
+type Experiment struct {
+	Name string
+	// Paper marks the experiments "all" regenerates; the rest are requested
+	// by name.
+	Paper bool
+	// Static experiments render from the hardware model alone: they run no
+	// simulation, so there is nothing to prewarm for them.
+	Static bool
+	// grid adds the variant cells the tables read beyond the baselines.
+	grid func(*Grid)
+	// Render builds the experiment's tables in print order.
+	Render func(*Runner) ([]*Table, error)
+}
+
+// Experiments lists every experiment in paper order.
+var Experiments = []Experiment{
+	{Name: "table2", Paper: true, Render: one((*Runner).Table2)},
+	{Name: "fig2", Paper: true, Render: one((*Runner).Fig2)},
+	{Name: "fig7", Paper: true, Render: one((*Runner).Fig7)},
+	{Name: "fig8", Paper: true, Render: one((*Runner).Fig8)},
+	{Name: "fig9", Paper: true, grid: func(g *Grid) { g.MapSpaces = MapSpaces }, Render: two((*Runner).Fig9)},
+	{Name: "fig10", Paper: true, grid: dataFracGrid, Render: two((*Runner).Fig10)},
+	{Name: "fig11", Paper: true, grid: dataFracGrid, Render: two((*Runner).Fig11)},
+	{Name: "fig12", Paper: true, grid: dataFracGrid, Render: one((*Runner).Fig12)},
+	{Name: "fig13", Paper: true, Static: true, Render: static((*Runner).Fig13)},
+	{Name: "fig14", Paper: true, grid: func(g *Grid) { g.UniFracs = UniFracs }, Render: func(r *Runner) ([]*Table, error) {
+		a, b, c, err := r.Fig14()
+		return []*Table{a, b, c}, err
+	}},
+	{Name: "table3", Paper: true, Static: true, Render: static((*Runner).Table3)},
+	{Name: "extras", grid: func(g *Grid) { g.Extras = true }, Render: one((*Runner).Extras)},
+	{Name: "faults", grid: func(g *Grid) { g.Faults = true }, Render: one((*Runner).FaultSweep)},
+	{Name: "quality", grid: func(g *Grid) { g.Quality = true }, Render: two((*Runner).QualitySweep)},
+}
+
+func dataFracGrid(g *Grid) { g.DataFracs = DataFracs }
+
+func one(f func(*Runner) (*Table, error)) func(*Runner) ([]*Table, error) {
+	return func(r *Runner) ([]*Table, error) {
+		t, err := f(r)
+		return []*Table{t}, err
+	}
+}
+
+func two(f func(*Runner) (*Table, *Table, error)) func(*Runner) ([]*Table, error) {
+	return func(r *Runner) ([]*Table, error) {
+		a, b, err := f(r)
+		return []*Table{a, b}, err
+	}
+}
+
+func static(f func(*Runner) *Table) func(*Runner) ([]*Table, error) {
+	return func(r *Runner) ([]*Table, error) { return []*Table{f(r)}, nil }
+}
+
+// experimentNamed looks an experiment up by name.
+func experimentNamed(name string) (Experiment, bool) {
+	for _, x := range Experiments {
+		if x.Name == name {
+			return x, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Render builds the named experiment's tables in print order.
+func (r *Runner) Render(name string) ([]*Table, error) {
+	x, ok := experimentNamed(name)
+	if !ok {
+		return nil, fmt.Errorf("sweep: experiment %q unknown", name)
+	}
+	return x.Render(r)
+}
+
 // coreConventional aliases the conventional-layout constructor for brevity.
 func coreConventional(name string, size, ways, cores int) core.Layout {
 	return core.ConventionalLayout(name, size, ways, cores)

@@ -2,20 +2,18 @@ package sweep
 
 import (
 	"context"
-	"fmt"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/core"
-	"doppelganger/internal/timesim"
-	"doppelganger/internal/workloads"
 )
 
 // extraConfig is one extension configuration the Extras table evaluates;
-// timing selects which simulator (and which memo cache) the run uses.
+// kind (custom-error or custom-timing) selects which simulator — and which
+// memo cache — its cell uses. The tag is the cell's Org.
 type extraConfig struct {
-	tag    string
-	cfg    core.Config
-	timing bool
+	tag  string
+	kind string
+	cfg  core.Config
 }
 
 // extrasConfigs returns the extension configurations at the base geometry
@@ -32,10 +30,10 @@ func extrasConfigs() []extraConfig {
 	compressed.CompressedData = true
 	compressed.CompressBudget = 0.5
 	return []extraConfig{
-		{tag: "minmax", cfg: minmax},
-		{tag: "avgonly", cfg: avgonly},
-		{tag: "aware", cfg: aware, timing: true},
-		{tag: "compressed", cfg: compressed, timing: true},
+		{tag: "minmax", kind: "custom-error", cfg: minmax},
+		{tag: "avgonly", kind: "custom-error", cfg: avgonly},
+		{tag: "aware", kind: "custom-timing", cfg: aware},
+		{tag: "compressed", kind: "custom-timing", cfg: compressed},
 	}
 }
 
@@ -60,12 +58,6 @@ func (r *Runner) Extras() (*Table, error) {
 		},
 	}
 
-	xs := extrasConfigs()
-	byTag := map[string]extraConfig{}
-	for _, x := range xs {
-		byTag[x.tag] = x
-	}
-
 	sums := make([]float64, 6)
 	for _, name := range r.Benchmarks() {
 		a, err := r.Baseline(name)
@@ -76,31 +68,21 @@ func (r *Runner) Extras() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		minmaxErr, err := r.customError(name, byTag["minmax"].cfg, "minmax")
-		if err != nil {
-			return nil, err
-		}
-		avgonlyErr, err := r.customError(name, byTag["avgonly"].cfg, "avgonly")
-		if err != nil {
-			return nil, err
-		}
 		splitTime, err := r.SplitTiming(name, BaseMapBits, BaseDataFrac)
 		if err != nil {
 			return nil, err
 		}
-		awareTime, err := r.customTiming(name, byTag["aware"].cfg, "aware")
-		if err != nil {
-			return nil, err
-		}
-		compTime, err := r.customTiming(name, byTag["compressed"].cfg, "compressed")
-		if err != nil {
-			return nil, err
+		byTag := map[string]CellResult{}
+		for _, x := range extrasConfigs() {
+			if byTag[x.tag], err = r.RunCell(context.Background(), Cell{Kind: x.kind, Bench: name, Org: x.tag}); err != nil {
+				return nil, err
+			}
 		}
 		vals := []float64{
-			splitErr, minmaxErr, avgonlyErr,
+			splitErr, byTag["minmax"].Error, byTag["avgonly"].Error,
 			float64(splitTime.Cycles) / float64(a.timing.Cycles),
-			float64(awareTime.Cycles) / float64(a.timing.Cycles),
-			float64(compTime.Cycles) / float64(a.timing.Cycles),
+			float64(byTag["aware"].Timing.Cycles) / float64(a.timing.Cycles),
+			float64(byTag["compressed"].Timing.Cycles) / float64(a.timing.Cycles),
 		}
 		for i, v := range vals {
 			sums[i] += v
@@ -112,59 +94,4 @@ func (r *Runner) Extras() (*Table, error) {
 	t.AddRow("average", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n),
 		norm(sums[3]/n), norm(sums[4]/n), norm(sums[5]/n))
 	return t, nil
-}
-
-// customError runs the split organization with an explicit Doppelgänger
-// configuration and measures output error.
-func (r *Runner) customError(name string, cfg core.Config, tag string) (float64, error) {
-	return r.customErrorContext(context.Background(), name, cfg, tag)
-}
-
-func (r *Runner) customErrorContext(ctx context.Context, name string, cfg core.Config, tag string) (float64, error) {
-	key := fmt.Sprintf("custom/%s/%s", name, tag)
-	return r.errDo(key, func() (float64, error) {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] custom functional run (%s)", name, tag)
-		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			llcb: workloads.CustomSplitBuilder(cfg),
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child},
-			fast: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.run.Output, run.Output), nil
-	})
-}
-
-// customTiming replays the benchmark's traces against the split
-// organization with an explicit Doppelgänger configuration.
-func (r *Runner) customTiming(name string, cfg core.Config, tag string) (*timesim.Result, error) {
-	return r.customTimingContext(context.Background(), name, cfg, tag)
-}
-
-func (r *Runner) customTimingContext(ctx context.Context, name string, cfg core.Config, tag string) (*timesim.Result, error) {
-	key := fmt.Sprintf("custom/%s/%s", name, tag)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] custom timing run (%s)", name, tag)
-		child := r.instrument()
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations,
-			workloads.CustomSplitBuilder(cfg), r.timesimConfigFor(key+"/timing", child))
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/timing", child)
-		return res, nil
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"doppelganger/internal/faults"
 	"doppelganger/internal/workloads"
 )
 
@@ -43,50 +42,14 @@ func (r *Runner) faultRates() []float64 {
 
 // FaultError measures application output error for one organization under
 // fault injection at the given per-access rate, scored against the fault-
-// free precise baseline output. The injector is seeded from (FaultSeed,
-// task key) only, and every access in a functional run is serialized by
-// the gang scheduler, so the fault sites — and therefore the error — are
-// bit-identical at any worker count.
+// free precise baseline output (see errorCell for the seeding discipline).
 func (r *Runner) FaultError(name, org string, rate float64) (float64, error) {
 	return r.FaultErrorContext(context.Background(), name, org, rate)
 }
 
 // FaultErrorContext is FaultError under a cancellable context.
 func (r *Runner) FaultErrorContext(ctx context.Context, name, org string, rate float64) (float64, error) {
-	key := fmt.Sprintf("fault/%s/%s/%g", org, name, rate)
-	return r.errDo(key, func() (float64, error) {
-		builder, err := faultBuilder(org)
-		if err != nil {
-			return 0, err
-		}
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] fault functional run (%s, rate %g)", name, org, rate)
-		seed := faults.Derive(r.FaultSeed, key)
-		inj := faults.New(faults.Config{
-			Seed:  seed,
-			Model: r.FaultModel,
-			Rate:  rate,
-		})
-		child := r.instrument()
-		inj.AttachMetrics(child)
-		run, err := r.funcRun(ctx, funcReq{
-			key:   key,
-			name:  name,
-			extra: fmt.Sprintf("|fseed=%d|fmodel=%s", r.FaultSeed, r.FaultModel),
-			seed:  seed,
-			llcb:  builder,
-			opt:   workloads.RunOptions{Cores: r.Cores, Metrics: child, Faults: inj},
-			fast:  true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.out, run.Output), nil
-	})
+	return r.errorCell(ctx, Cell{Kind: "fault-error", Bench: name, Org: org, Rate: rate})
 }
 
 // FaultSweep renders the output-error-vs-fault-rate table: for every

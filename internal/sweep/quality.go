@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"doppelganger/internal/faults"
 	"doppelganger/internal/quality"
 	"doppelganger/internal/timesim"
 	"doppelganger/internal/workloads"
@@ -90,17 +89,6 @@ func (r *Runner) qualityDo(key string, compute func() (*QualityOutcome, error)) 
 	return v, err
 }
 
-// newGuard builds one run's quality controller from the Runner's knobs,
-// seeded from (QualitySeed, task key) so canary sites — like fault sites —
-// are bit-identical at any worker count.
-func (r *Runner) newGuard(key string) (*quality.Controller, error) {
-	return quality.New(quality.Config{
-		Seed:       faults.Derive(r.QualitySeed, key),
-		Budget:     r.qualityBudget(),
-		CanaryRate: r.canaryRate(),
-	})
-}
-
 // QualityError runs one benchmark on one guarded organization under fault
 // injection and reports the guarded outcome. The injector is seeded from
 // the SAME key as the unguarded FaultError run, so until the breaker first
@@ -112,62 +100,56 @@ func (r *Runner) QualityError(name, org string, rate float64) (*QualityOutcome, 
 
 // QualityErrorContext is QualityError under a cancellable context.
 func (r *Runner) QualityErrorContext(ctx context.Context, name, org string, rate float64) (*QualityOutcome, error) {
-	key := fmt.Sprintf("quality/%s/%s/%g", org, name, rate)
+	return r.qualityCell(ctx, Cell{Kind: "quality-error", Bench: name, Org: org, Rate: rate})
+}
+
+// qualityCell computes one guarded functional run's outcome.
+func (r *Runner) qualityCell(ctx context.Context, c Cell) (*QualityOutcome, error) {
+	key := c.Stem()
 	return r.qualityDo(key, func() (*QualityOutcome, error) {
-		builder, err := faultBuilder(org)
+		builder, err := c.builder()
 		if err != nil {
 			return nil, err
 		}
-		a, err := r.baselineScore(ctx, name)
+		a, err := r.baselineScore(ctx, c.Bench)
 		if err != nil {
 			return nil, err
 		}
-		r.logf("[%s] guarded functional run (%s, rate %g, budget %g)", name, org, rate, r.qualityBudget())
-		seed := faults.Derive(r.FaultSeed, fmt.Sprintf("fault/%s/%s/%g", org, name, rate))
-		inj := faults.New(faults.Config{
-			Seed:  seed,
-			Model: r.FaultModel,
-			Rate:  rate,
-		})
-		qc, err := r.newGuard(key)
-		if err != nil {
-			return nil, err
-		}
+		r.logf("[%s] guarded functional run %s (budget %g)", c.Bench, key, r.qualityBudget())
 		child := r.instrument()
-		inj.AttachMetrics(child)
-		qc.AttachMetrics(child)
+		inj, qc, err := r.attachments(c, child)
+		if err != nil {
+			return nil, err
+		}
 		// Not a fast cell: the outcome needs the guard's breaker history, so
 		// a warm cache replays the stream through a fresh hierarchy with this
 		// identically-seeded injector and guard attached — both draw per LLC
 		// operation, and replay preserves the exact operation sequence, so
 		// the guard relives the live run decision for decision.
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			extra: fmt.Sprintf("|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-				r.FaultSeed, r.FaultModel, r.QualitySeed, r.qualityBudget(), r.canaryRate()),
-			seed: seed,
-			llcb: builder,
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child, Faults: inj, Quality: qc},
-		})
+		run, err := r.funcRun(ctx, c, builder, workloads.RunOptions{Cores: r.Cores, Metrics: child, Faults: inj, Quality: qc})
 		if err != nil {
 			return nil, err
 		}
 		r.collect(key+"/func", child)
-		s := qc.Stats()
-		return &QualityOutcome{
-			TrueErrorBits: math.Float64bits(a.bench.Error(a.out, run.Output)),
-			EstimateBits:  math.Float64bits(qc.Estimate()),
-			FinalState:    qc.State(),
-			Trips:         s.Trips,
-			Reentries:     s.Reentries,
-			Canaries:      s.Canaries,
-			CanaryDraws:   s.CanaryDraws,
-			ApproxOps:     s.ApproxOps,
-			Bypassed:      s.Bypassed,
-			Transitions:   qc.Transitions(),
-		}, nil
+		return qualityOutcome(a, run.Output, qc), nil
 	})
+}
+
+// qualityOutcome scores one guarded run's output and snapshots its guard.
+func qualityOutcome(a *baseScore, out []float64, qc *quality.Controller) *QualityOutcome {
+	s := qc.Stats()
+	return &QualityOutcome{
+		TrueErrorBits: math.Float64bits(a.bench.Error(a.out, out)),
+		EstimateBits:  math.Float64bits(qc.Estimate()),
+		FinalState:    qc.State(),
+		Trips:         s.Trips,
+		Reentries:     s.Reentries,
+		Canaries:      s.Canaries,
+		CanaryDraws:   s.CanaryDraws,
+		ApproxOps:     s.ApproxOps,
+		Bypassed:      s.Bypassed,
+		Transitions:   qc.Transitions(),
+	}
 }
 
 // QualityTiming replays one benchmark's traces against a guarded (or, with
@@ -180,44 +162,7 @@ func (r *Runner) QualityTiming(name, org string, rate float64, guarded bool) (*t
 
 // QualityTimingContext is QualityTiming under a cancellable context.
 func (r *Runner) QualityTimingContext(ctx context.Context, name, org string, rate float64, guarded bool) (*timesim.Result, error) {
-	mode := "time-off"
-	if guarded {
-		mode = "time-on"
-	}
-	key := fmt.Sprintf("quality/%s/%s/%g/%s", org, name, rate, mode)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		builder, err := faultBuilder(org)
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] quality timing run (%s, rate %g, guard %v)", name, org, rate, guarded)
-		child := r.instrument()
-		cfg := r.timesimConfigFor(key+"/timing", child)
-		cfg.Faults = faults.New(faults.Config{
-			Seed:  faults.Derive(r.FaultSeed, fmt.Sprintf("quality/%s/%s/%g/time", org, name, rate)),
-			Model: r.FaultModel,
-			Rate:  rate,
-		})
-		cfg.Faults.AttachMetrics(child)
-		if guarded {
-			qc, err := r.newGuard(key)
-			if err != nil {
-				return nil, err
-			}
-			qc.AttachMetrics(child)
-			cfg.Quality = qc
-		}
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations, builder, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/timing", child)
-		return res, nil
-	})
+	return r.timingCell(ctx, Cell{Kind: "quality-timing", Bench: name, Org: org, Rate: rate, Guarded: guarded})
 }
 
 // QualitySweep renders the quality-guard tables: true output error with the

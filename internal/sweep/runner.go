@@ -252,24 +252,21 @@ func (r *Runner) BaselineContext(ctx context.Context, name string) (*baseArtifac
 			CompareM:           14,
 		})
 		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  "base/" + name,
-			name: name,
-			llcb: workloads.BaselineBuilder(2<<20, 16),
-			opt: workloads.RunOptions{
-				Cores:         r.Cores,
-				Record:        true,
-				SnapshotEvery: r.SnapshotEvery,
-				SnapshotFn:    an.Observe,
-				Metrics:       child,
-			},
+		c := baseline(name)
+		key := c.Stem()
+		run, err := r.funcRun(ctx, c, workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{
+			Cores:         r.Cores,
+			Record:        true,
+			SnapshotEvery: r.SnapshotEvery,
+			SnapshotFn:    an.Observe,
+			Metrics:       child,
 		})
 		if err != nil {
 			return nil, err
 		}
-		r.collect("base/"+name+"/func", child)
+		r.collect(key+"/func", child)
 		r.logf("[%s] baseline timing run (%d accesses)", name, run.Recorder.Len())
-		tkey := "base/" + name + "/timing"
+		tkey := key + "/timing"
 		tchild := r.instrument()
 		timing, err := timesim.RunContext(ctx, run.Recorder, run.InitialMem, run.Annotations,
 			workloads.BaselineBuilder(2<<20, 16), r.timesimConfigFor(tkey, tchild))
@@ -279,17 +276,6 @@ func (r *Runner) BaselineContext(ctx context.Context, name string) (*baseArtifac
 		r.collect(tkey, tchild)
 		return &baseArtifacts{bench: f.New(r.Scale), run: run, analyzer: an, timing: timing}, nil
 	})
-}
-
-// BaselineTimingContext exposes the benchmark's precise baseline timing run
-// (the denominator of every normalized-runtime column) without the rest of
-// the baseline artifacts; the sweep server serves it as a job kind.
-func (r *Runner) BaselineTimingContext(ctx context.Context, name string) (*timesim.Result, error) {
-	a, err := r.BaselineContext(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return a.timing, nil
 }
 
 // baselineScore returns the benchmark instance and precise baseline output
@@ -308,7 +294,8 @@ func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, er
 			if err != nil {
 				return nil, err
 			}
-			if c := r.tryLoad(workloads.CaptureIdent("base/"+name, r.Scale, r.Cores, ""), true); c != nil {
+			ident, _ := baseline(name).CaptureIdent(r)
+			if c := r.tryLoad(ident, true); c != nil {
 				return &baseScore{bench: f.New(r.Scale), out: c.Output}, nil
 			}
 		}
@@ -348,27 +335,7 @@ func (r *Runner) SplitError(name string, m int, frac float64) (float64, error) {
 
 // SplitErrorContext is SplitError under a cancellable context.
 func (r *Runner) SplitErrorContext(ctx context.Context, name string, m int, frac float64) (float64, error) {
-	key := fmt.Sprintf("split/%s/%d/%g", name, m, frac)
-	return r.errDo(key, func() (float64, error) {
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] split functional run (M=%d, data %g)", name, m, frac)
-		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			llcb: workloads.SplitBuilder(m, frac),
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child},
-			fast: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.out, run.Output), nil
-	})
+	return r.errorCell(ctx, Cell{Kind: "split-error", Bench: name, M: m, Frac: frac})
 }
 
 // UnifiedError is SplitError for the uniDoppelgänger organization
@@ -379,27 +346,7 @@ func (r *Runner) UnifiedError(name string, m int, frac float64) (float64, error)
 
 // UnifiedErrorContext is UnifiedError under a cancellable context.
 func (r *Runner) UnifiedErrorContext(ctx context.Context, name string, m int, frac float64) (float64, error) {
-	key := fmt.Sprintf("uni/%s/%d/%g", name, m, frac)
-	return r.errDo(key, func() (float64, error) {
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] unified functional run (M=%d, data %g)", name, m, frac)
-		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			llcb: workloads.UnifiedBuilder(m, frac),
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child},
-			fast: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.out, run.Output), nil
-	})
+	return r.errorCell(ctx, Cell{Kind: "uni-error", Bench: name, M: m, Frac: frac})
 }
 
 // SplitTiming replays the benchmark's traces against the split organization
@@ -410,22 +357,7 @@ func (r *Runner) SplitTiming(name string, m int, frac float64) (*timesim.Result,
 
 // SplitTimingContext is SplitTiming under a cancellable context.
 func (r *Runner) SplitTimingContext(ctx context.Context, name string, m int, frac float64) (*timesim.Result, error) {
-	key := fmt.Sprintf("split/%s/%d/%g", name, m, frac)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] split timing run (M=%d, data %g)", name, m, frac)
-		child := r.instrument()
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations,
-			workloads.SplitBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/timing", child)
-		return res, nil
-	})
+	return r.timingCell(ctx, Cell{Kind: "split-timing", Bench: name, M: m, Frac: frac})
 }
 
 // UnifiedTiming replays against uniDoppelgänger (Fig. 14b/c); frac is
@@ -436,16 +368,70 @@ func (r *Runner) UnifiedTiming(name string, m int, frac float64) (*timesim.Resul
 
 // UnifiedTimingContext is UnifiedTiming under a cancellable context.
 func (r *Runner) UnifiedTimingContext(ctx context.Context, name string, m int, frac float64) (*timesim.Result, error) {
-	key := fmt.Sprintf("uni/%s/%d/%g", name, m, frac)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		a, err := r.BaselineContext(ctx, name)
+	return r.timingCell(ctx, Cell{Kind: "uni-timing", Bench: name, M: m, Frac: frac})
+}
+
+// errorCell measures one error cell's application output error (split, uni,
+// fault or custom organization) against the precise baseline output. Fault
+// cells carry an injector seeded from (FaultSeed, the cell's fault key)
+// only, and every access in a functional run is serialized by the gang
+// scheduler, so the fault sites — and therefore the error — are
+// bit-identical at any worker count.
+func (r *Runner) errorCell(ctx context.Context, c Cell) (float64, error) {
+	key := c.Stem()
+	return r.errDo(key, func() (float64, error) {
+		builder, err := c.builder()
+		if err != nil {
+			return 0, err
+		}
+		a, err := r.baselineScore(ctx, c.Bench)
+		if err != nil {
+			return 0, err
+		}
+		r.logf("[%s] functional run %s", c.Bench, key)
+		child := r.instrument()
+		inj, _, err := r.attachments(c, child)
+		if err != nil {
+			return 0, err
+		}
+		run, err := r.funcRun(ctx, c, builder, workloads.RunOptions{Cores: r.Cores, Metrics: child, Faults: inj})
+		if err != nil {
+			return 0, err
+		}
+		r.collect(key+"/func", child)
+		return a.bench.Error(a.out, run.Output), nil
+	})
+}
+
+// timingCell replays the benchmark's baseline traces cycle-accurately
+// against the cell's organization — with its fault injector and guard, for
+// quality timing cells. The baseline timing cell is the baseline artifacts'
+// own timing run.
+func (r *Runner) timingCell(ctx context.Context, c Cell) (*timesim.Result, error) {
+	if c.Kind == "baseline-timing" {
+		a, err := r.BaselineContext(ctx, c.Bench)
 		if err != nil {
 			return nil, err
 		}
-		r.logf("[%s] unified timing run (M=%d, data %g)", name, m, frac)
+		return a.timing, nil
+	}
+	key := c.Stem()
+	return r.timeDo(key, func() (*timesim.Result, error) {
+		builder, err := c.builder()
+		if err != nil {
+			return nil, err
+		}
+		a, err := r.BaselineContext(ctx, c.Bench)
+		if err != nil {
+			return nil, err
+		}
+		r.logf("[%s] timing run %s", c.Bench, key)
 		child := r.instrument()
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations,
-			workloads.UnifiedBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
+		cfg := r.timesimConfigFor(key+"/timing", child)
+		if cfg.Faults, cfg.Quality, err = r.attachments(c, child); err != nil {
+			return nil, err
+		}
+		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations, builder, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -25,31 +25,6 @@ import (
 // -trace-replay, rejected with an actionable error) rather than silently
 // replayed.
 
-// funcReq describes one functional cell to funcRun: its memo key, the
-// benchmark, any identity the key doesn't already carry (seeds, budgets),
-// the LLC organization, and the run options. fast marks cells that consume
-// only the run's output: on a warm cache they are served straight from the
-// capture's output section (the output-only read, never the decoded cache)
-// without rebuilding a hierarchy (their attachments see no traffic and
-// their metrics snapshots stay empty).
-type funcReq struct {
-	key   string
-	name  string
-	extra string // identity beyond key/scale/cores, "|k=v" formatted
-	seed  uint64 // recorded in the file header (0 when the cell is unseeded)
-	llcb  workloads.LLCBuilder
-	opt   workloads.RunOptions
-	fast  bool
-}
-
-// traceIdent is the full identity a capture must match to be replayed for
-// this request. Cells the CLI facade can also run (baseline, split, uni)
-// use the same keys, so doppelsim and a sweep share captures in one
-// directory.
-func (r *Runner) traceIdent(req funcReq) string {
-	return workloads.CaptureIdent(req.key, r.Scale, r.Cores, req.extra)
-}
-
 // tracePath maps an identity to its file in the trace directory.
 func (r *Runner) tracePath(ident string) string {
 	return workloads.CapturePath(r.TraceDir, ident)
@@ -62,35 +37,6 @@ func (r *Runner) traceFS() trace.FS {
 		return r.TraceFS
 	}
 	return trace.OS
-}
-
-// CellCaptureIdent maps one sweep cell (the server's wire vocabulary) to
-// the identity of the capture its functional work replays, so the sweep
-// server can route cells by trace digest: cells that replay the same file
-// land on the shard whose decoded cache already holds it. Timing cells
-// replay the benchmark's baseline recorder, so they map to the baseline
-// capture — co-locating a benchmark's timing cells with its baseline. ok is
-// false for cells with no single capture (whole figures, unknown kinds).
-func (r *Runner) CellCaptureIdent(kind, bench, org string, m int, frac, rate float64) (string, bool) {
-	var key, extra string
-	switch kind {
-	case "split-error":
-		key = fmt.Sprintf("split/%s/%d/%g", bench, m, frac)
-	case "uni-error":
-		key = fmt.Sprintf("uni/%s/%d/%g", bench, m, frac)
-	case "fault-error":
-		key = fmt.Sprintf("fault/%s/%s/%g", org, bench, rate)
-		extra = fmt.Sprintf("|fseed=%d|fmodel=%s", r.FaultSeed, r.FaultModel)
-	case "quality-error":
-		key = fmt.Sprintf("quality/%s/%s/%g", org, bench, rate)
-		extra = fmt.Sprintf("|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-			r.FaultSeed, r.FaultModel, r.QualitySeed, r.qualityBudget(), r.canaryRate())
-	case "split-timing", "uni-timing", "baseline-timing", "quality-timing":
-		key = "base/" + bench
-	default:
-		return "", false
-	}
-	return workloads.CaptureIdent(key, r.Scale, r.Cores, extra), true
 }
 
 // loadCapture is the trace cache's one capture read: the self-healing load
@@ -164,16 +110,22 @@ func (r *Runner) tryLoad(ident string, outputOnly bool) *trace.Capture {
 // the live run itself still propagates, and both this cache and the cell
 // memos forget errors, so a retry re-records instead of replaying a
 // poisoned entry.
-func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult, error) {
-	f, err := workloads.ByName(req.name)
+func (r *Runner) funcRun(ctx context.Context, cell Cell, llcb workloads.LLCBuilder, ropt workloads.RunOptions) (*workloads.RunResult, error) {
+	f, err := workloads.ByName(cell.Bench)
 	if err != nil {
 		return nil, err
 	}
 	if r.TraceDir == "" {
-		return workloads.RunFunctionalContext(ctx, f.New(r.Scale), req.llcb, req.opt)
+		return workloads.RunFunctionalContext(ctx, f.New(r.Scale), llcb, ropt)
 	}
+	// Error cells consume only the run's output: on a warm cache they are
+	// served straight from the capture's output section (the output-only
+	// read, never the decoded cache) without rebuilding a hierarchy (their
+	// attachments see no traffic and their metrics snapshots stay empty).
+	fast := cell.result() == "error"
+	name, key := cell.Bench, cell.Stem()
 	fsys := r.traceFS()
-	ident := r.traceIdent(req)
+	ident, _ := cell.CaptureIdent(r)
 	path := r.tracePath(ident)
 	var live *workloads.RunResult
 	capture, err := r.traceCache.Do(ident, func() (*trace.Capture, error) {
@@ -182,43 +134,43 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 			// Output-only cells take the output-only read (loadCapture). An
 			// ident's fast-ness never varies between requests, so this memo
 			// can never hand such a capture to a hierarchy replay.
-			c, outcome, lerr := r.loadCapture(ident, req.fast)
+			c, outcome, lerr := r.loadCapture(ident, fast)
 			if r.TraceReplay && outcome != workloads.LoadOK {
 				if lerr == nil {
 					lerr = os.ErrNotExist
 				}
-				return nil, fmt.Errorf("sweep: -trace-replay: no usable capture for %s: %w", req.key, lerr)
+				return nil, fmt.Errorf("sweep: -trace-replay: no usable capture for %s: %w", key, lerr)
 			}
 			switch outcome {
 			case workloads.LoadOK:
 				r.Metrics.Counter("trace.replays").Add(1)
-				r.logf("[%s] replaying capture %s (%s)", req.name, filepath.Base(path), req.key)
+				r.logf("[%s] replaying capture %s (%s)", name, filepath.Base(path), key)
 				return c, nil
 			case workloads.LoadMiss:
 				// Cold cache: record below.
 			case workloads.LoadQuarantined:
 				r.Metrics.Counter("trace.quarantines").Add(1)
-				r.logf("[%s] capture %s unusable (%v); re-recording", req.name, filepath.Base(path), lerr)
+				r.logf("[%s] capture %s unusable (%v); re-recording", name, filepath.Base(path), lerr)
 			case workloads.LoadUnavailable:
 				// The bytes may be fine but the I/O path is not: leave the
 				// file alone, run live, and don't trust the store with a
 				// new write either.
 				persist = false
 				r.Metrics.Counter("trace.degraded").Add(1)
-				r.logf("[%s] trace store unavailable (%v); running %s live unrecorded", req.name, lerr, req.key)
+				r.logf("[%s] trace store unavailable (%v); running %s live unrecorded", name, lerr, key)
 			}
 		}
-		opt := req.opt
+		opt := ropt
 		opt.Record = true
-		run, rerr := workloads.RunFunctionalContext(ctx, f.New(r.Scale), req.llcb, opt)
+		run, rerr := workloads.RunFunctionalContext(ctx, f.New(r.Scale), llcb, opt)
 		if rerr != nil {
 			return nil, rerr
 		}
 		c, cerr := workloads.CaptureOf(run, trace.FileHeader{
-			Benchmark: req.name,
+			Benchmark: name,
 			Scale:     r.Scale,
 			Cores:     r.Cores,
-			Seed:      req.seed,
+			Seed:      r.faultSeed(cell),
 			ConfigKey: ident,
 		})
 		if cerr != nil {
@@ -231,10 +183,10 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 				// and bit-identical to what a recorded run would produce —
 				// losing the capture only costs the next sweep a re-record.
 				r.Metrics.Counter("trace.degraded").Add(1)
-				r.logf("[%s] capture %s not persisted (%v); serving live result", req.name, filepath.Base(path), perr)
+				r.logf("[%s] capture %s not persisted (%v); serving live result", name, filepath.Base(path), perr)
 			} else {
 				r.Metrics.Counter("trace.records").Add(1)
-				if !req.fast {
+				if !fast {
 					// WriteFileFS stamped c.FileCRC; a freshly recorded
 					// replayable capture is servable to other Runners.
 					r.cacheDecoded(c)
@@ -251,10 +203,10 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 		// every side effect (snapshots, metrics, guard state).
 		return live, nil
 	}
-	if req.fast {
+	if fast {
 		return &workloads.RunResult{Output: capture.Output}, nil
 	}
-	return workloads.ReplayFunctionalContext(ctx, f.New(r.Scale), capture, req.llcb, req.opt)
+	return workloads.ReplayFunctionalContext(ctx, f.New(r.Scale), capture, llcb, ropt)
 }
 
 // persistCapture commits one freshly recorded capture: ensure the
