@@ -5,8 +5,8 @@
 //
 //	doppelsim -bench jpeg -llc split -map 14 -datafrac 0.25 -scale 0.5
 //	doppelsim -bench jmeint+kmeans -llc unified          # multiprogrammed
-//	doppelsim -bench canneal -savetrace canneal.trace    # record a bundle
-//	doppelsim -replay canneal.trace -llc split -map 12   # replay offline
+//	doppelsim -bench canneal -savetrace canneal.dgt      # record a capture
+//	doppelsim -replay canneal.dgt -llc split -map 12     # replay offline
 //	doppelsim -bench jpeg -fault-rate 1e-4 -quality-budget 0.05   # guarded
 //
 // LLC organizations: baseline (conventional 2 MB), split (1 MB precise +
@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -24,7 +25,9 @@ import (
 
 	"doppelganger"
 	"doppelganger/internal/faults"
+	"doppelganger/internal/sweep"
 	"doppelganger/internal/timesim"
+	"doppelganger/internal/trace"
 	"doppelganger/internal/workloads"
 )
 
@@ -44,8 +47,8 @@ func main() {
 		scale    = flag.Float64("scale", 1, "workload scale (1 = paper-size working sets)")
 		cores    = flag.Int("cores", 4, "number of cores")
 		timing   = flag.Bool("timing", false, "also run the cycle-level timing comparison vs the baseline")
-		saveTo   = flag.String("savetrace", "", "record the benchmark on the baseline LLC and save a replayable trace bundle to this file")
-		replay   = flag.String("replay", "", "replay a saved trace bundle against the chosen LLC (skips functional execution)")
+		saveTo   = flag.String("savetrace", "", "record the benchmark on the baseline LLC and save its replayable capture to this file")
+		replay   = flag.String("replay", "", "replay a baseline capture (a -savetrace file or a -trace-dir baseline .dgt) against the chosen LLC (skips functional execution)")
 
 		faultRate  = flag.Float64("fault-rate", 0, "per-access fault-injection probability against the chosen LLC (0 disables)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection seed; the same seed reproduces the same fault sites")
@@ -66,10 +69,13 @@ func main() {
 	)
 	flag.Parse()
 
-	budgetSet := false
+	budgetSet, coresSet := false, false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "quality-budget" {
+		switch f.Name {
+		case "quality-budget":
 			budgetSet = true
+		case "cores":
+			coresSet = true
 		}
 	})
 	if err := validateOptions(simOptions{
@@ -78,6 +84,8 @@ func main() {
 		MapBits:          *mapBits,
 		DataFrac:         *dataFrac,
 		FaultRate:        *faultRate,
+		SaveTrace:        *saveTo,
+		Replay:           *replay,
 		QualityBudget:    *qualityBudget,
 		QualityBudgetSet: budgetSet,
 		CanaryRate:       *canaryRate,
@@ -167,16 +175,52 @@ func main() {
 	}
 
 	if *saveTo != "" {
-		if err := saveBundle(*bench, *scale, *cores, *saveTo, reg); err != nil {
+		accesses, err := saveTrace(*bench, *scale, *cores, *saveTo, reg)
+		if err != nil {
 			fatal(err)
 		}
+		fi, err := os.Stat(*saveTo)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("saved %s: %d accesses, %d bytes\n", *saveTo, accesses, fi.Size())
 		writeObservability(*bench + "/record")
 		return
 	}
 	if *replay != "" {
-		if err := replayBundle(*replay, *llc, *mapBits, *dataFrac, *cores, reg, tw); err != nil {
+		frac := *dataFrac
+		if frac == 0 {
+			frac = 0.25
+			if kind == doppelganger.UniDoppelganger {
+				frac = 0.5
+			}
+		}
+		builder := workloads.BaselineBuilder(2<<20, 16)
+		switch kind {
+		case doppelganger.SplitDoppelganger:
+			builder = workloads.SplitBuilder(*mapBits, frac)
+		case doppelganger.UniDoppelganger:
+			builder = workloads.UnifiedBuilder(*mapBits, frac)
+		}
+		cfg := timesim.DefaultConfig()
+		cfg.Metrics = reg
+		if tw != nil {
+			cfg.Trace, cfg.TracePID, cfg.TraceLabel = tw, 1, *replay+" ("+*llc+")"
+		}
+		want := 0
+		if coresSet {
+			want = *cores
+		}
+		res, err := replayTrace(*replay, want, builder, cfg)
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("replayed %s against %s (M=%d, data %g)\n", *replay, *llc, *mapBits, frac)
+		fmt.Printf("cycles:          %d\n", res.Cycles)
+		fmt.Printf("instructions:    %d (IPC %.2f over %d cores)\n",
+			res.Instructions, float64(res.Instructions)/float64(res.Cycles), len(res.PerCoreCycles))
+		fmt.Printf("LLC MPKI:        %.2f\n", res.MPKI())
+		fmt.Printf("off-chip blocks: %d\n", res.MemTraffic())
 		writeObservability(*replay + "/" + *llc)
 		return
 	}
@@ -311,76 +355,59 @@ func main() {
 	writeObservability(*bench + "/" + *llc)
 }
 
-// saveBundle records the benchmark on the baseline LLC and writes a
-// self-contained trace bundle (traces + initial memory + annotations).
-func saveBundle(bench string, scale float64, cores int, path string, reg *doppelganger.MetricsRegistry) error {
+// baselineIdent is the identity of a benchmark's baseline capture at a
+// scale and core count: the ConfigKey an experiments -trace-dir sweep
+// records the baseline under, and the only kind of capture -replay accepts.
+func baselineIdent(bench string, scale float64, cores int) string {
+	r := sweep.NewRunner(scale)
+	r.Cores = cores
+	ident, _ := sweep.Cell{Kind: "baseline-timing", Bench: bench}.CaptureIdent(r)
+	return ident
+}
+
+// saveTrace records the benchmark on the baseline LLC and writes its
+// capture to path: byte for byte the baseline capture an experiments
+// -trace-dir sweep records for the same benchmark, scale and cores. It
+// returns the number of recorded accesses.
+func saveTrace(bench string, scale float64, cores int, path string, reg *doppelganger.MetricsRegistry) (int, error) {
 	f, err := workloads.ByName(bench)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	run := workloads.RunFunctional(f.New(scale), workloads.BaselineBuilder(2<<20, 16),
 		workloads.RunOptions{Cores: cores, Record: true, Metrics: reg})
-	b, err := workloads.BundleOf(run)
+	c, err := workloads.CaptureOf(run, trace.FileHeader{
+		Benchmark: bench,
+		Scale:     scale,
+		Cores:     cores,
+		ConfigKey: baselineIdent(bench, scale, cores),
+	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	n, err := b.WriteTo(out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("saved %s: %d accesses, %d bytes\n", path, run.Recorder.Len(), n)
-	return nil
+	return run.Recorder.Len(), c.WriteFile(path)
 }
 
-// replayBundle loads a trace bundle and replays it cycle-accurately against
-// the chosen organization.
-func replayBundle(path, llc string, mapBits int, dataFrac float64, cores int,
-	reg *doppelganger.MetricsRegistry, tw *doppelganger.TraceWriter) error {
-	in, err := os.Open(path)
+// replayTrace reads the baseline capture at path and replays it
+// cycle-accurately against the organization llcb builds, on as many cores
+// as the capture was recorded with. cores, when non-zero (an explicit
+// -cores), must agree with that count.
+func replayTrace(path string, cores int, llcb workloads.LLCBuilder, cfg timesim.Config) (*timesim.Result, error) {
+	c, err := trace.ReadCaptureFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer in.Close()
-	b, err := workloads.ReadBundle(in)
+	h := c.Header
+	if want := baselineIdent(h.Benchmark, h.Scale, h.Cores); h.ConfigKey != want {
+		return nil, fmt.Errorf("%s: not a baseline capture: recorded for %q, want %q", path, h.ConfigKey, want)
+	}
+	if cores != 0 && cores != h.Cores {
+		return nil, fmt.Errorf("%s: recorded on %d cores, -cores asks for %d (omit -cores to replay on %d)", path, h.Cores, cores, h.Cores)
+	}
+	cfg.Cores = h.Cores
+	res, err := timesim.RunContext(context.Background(), c.Recorder, c.InitialMem, c.Annotations, llcb, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if dataFrac == 0 {
-		dataFrac = 0.25
-		if llc == "unified" {
-			dataFrac = 0.5
-		}
-	}
-	builder := workloads.BaselineBuilder(2<<20, 16)
-	switch llc {
-	case "baseline":
-	case "split":
-		builder = workloads.SplitBuilder(mapBits, dataFrac)
-	case "unified":
-		builder = workloads.UnifiedBuilder(mapBits, dataFrac)
-	default:
-		return fmt.Errorf("unknown LLC organization %q", llc)
-	}
-	cfg := timesim.DefaultConfig()
-	cfg.Cores = cores
-	cfg.Metrics = reg
-	if tw != nil {
-		cfg.Trace, cfg.TracePID, cfg.TraceLabel = tw, 1, path+" ("+llc+")"
-	}
-	res := timesim.Run(b.Traces, b.InitialMem, b.Annotations, builder, cfg)
-	if err := res.CrossCheck(); err != nil {
-		return err
-	}
-	fmt.Printf("replayed %s against %s (M=%d, data %g)\n", path, llc, mapBits, dataFrac)
-	fmt.Printf("cycles:          %d\n", res.Cycles)
-	fmt.Printf("instructions:    %d (IPC %.2f over %d cores)\n",
-		res.Instructions, float64(res.Instructions)/float64(res.Cycles), cores)
-	fmt.Printf("LLC MPKI:        %.2f\n", res.MPKI())
-	fmt.Printf("off-chip blocks: %d\n", res.MemTraffic())
-	return nil
+	return res, res.CrossCheck()
 }

@@ -1,6 +1,10 @@
 package main
 
-import "doppelganger/internal/flagcheck"
+import (
+	"errors"
+
+	"doppelganger/internal/flagcheck"
+)
 
 // simOptions are the numeric flags validateOptions checks. QualityBudgetSet
 // reports whether -quality-budget was supplied explicitly (via flag.Visit):
@@ -12,6 +16,8 @@ type simOptions struct {
 	MapBits          int
 	DataFrac         float64
 	FaultRate        float64
+	SaveTrace        string
+	Replay           string
 	QualityBudget    float64
 	QualityBudgetSet bool
 	CanaryRate       float64
@@ -41,5 +47,21 @@ func validateOptions(o simOptions) error {
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
 		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
+		replayFlags(o),
 	)
+}
+
+// replayFlags rejects combinations the -savetrace/-replay paths would
+// silently ignore: the two modes exclude each other, and a replay applies
+// neither fault injection nor the quality guard.
+func replayFlags(o simOptions) error {
+	switch {
+	case o.SaveTrace != "" && o.Replay != "":
+		return errors.New("-savetrace and -replay are mutually exclusive (record a capture, then replay it in a second run)")
+	case o.Replay != "" && o.FaultRate > 0:
+		return errors.New("-replay applies no fault injection; drop -fault-rate")
+	case o.Replay != "" && o.QualityBudgetSet:
+		return errors.New("-replay applies no quality guard; drop -quality-budget")
+	}
+	return nil
 }

@@ -41,6 +41,9 @@ func TestValidateOptions(t *testing.T) {
 		{"canary above one", simOptions{Scale: 1, Cores: 1, MapBits: 14, CanaryRate: 2}, "-canary-rate"},
 		{"NaN canary", simOptions{Scale: 1, Cores: 1, MapBits: 14, CanaryRate: math.NaN()}, "-canary-rate"},
 		{"bad trace verify", simOptions{Scale: 1, Cores: 1, MapBits: 14, TraceVerify: "always"}, "-trace-verify"},
+		{"savetrace with replay", simOptions{Scale: 1, Cores: 1, MapBits: 14, SaveTrace: "a.dgt", Replay: "b.dgt"}, "-savetrace"},
+		{"replay with faults", simOptions{Scale: 1, Cores: 1, MapBits: 14, Replay: "b.dgt", FaultRate: 1e-4}, "-fault-rate"},
+		{"replay with quality budget", simOptions{Scale: 1, Cores: 1, MapBits: 14, Replay: "b.dgt", QualityBudget: 0.05, QualityBudgetSet: true}, "-quality-budget"},
 	}
 	for _, tc := range bad {
 		err := validateOptions(tc.o)

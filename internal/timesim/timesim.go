@@ -241,7 +241,9 @@ func Run(tr *trace.Recorder, initial *memdata.Store, ann *approx.Annotations,
 	llcb func(st *memdata.Store, ann *approx.Annotations) core.LLC, cfg Config) *Result {
 	res, err := RunContext(context.Background(), tr, initial, ann, llcb, cfg)
 	if err != nil {
-		// Background contexts are never cancelled.
+		// Background contexts are never cancelled, so the only error is a
+		// trace with more cores than cfg.Cores models: a caller bug, since
+		// every caller times a recorder it made with cfg.Cores cores.
 		panic(err)
 	}
 	return res
@@ -250,8 +252,13 @@ func Run(tr *trace.Recorder, initial *memdata.Store, ann *approx.Annotations,
 // RunContext is Run with cooperative cancellation: the event loop polls ctx
 // every few thousand replayed accesses and returns (nil, ctx.Err()) when it
 // is cancelled. With a non-cancellable context the run is identical to Run.
+// A trace with more cores than cfg.Cores is an error: the extra cores'
+// streams would otherwise go untimed.
 func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store, ann *approx.Annotations,
 	llcb func(st *memdata.Store, ann *approx.Annotations) core.LLC, cfg Config) (*Result, error) {
+	if len(tr.Cores) > cfg.Cores {
+		return nil, fmt.Errorf("timesim: trace has %d cores, the configuration models %d", len(tr.Cores), cfg.Cores)
+	}
 
 	st := initial.Clone()
 	llc := llcb(st, ann)

@@ -1,6 +1,8 @@
 package timesim
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"doppelganger/internal/approx"
@@ -133,6 +135,29 @@ func TestMultiCoreFinishesAllTraces(t *testing.T) {
 		if cy > res.Cycles {
 			t.Errorf("core %d beyond total", c)
 		}
+	}
+}
+
+// TestRunRejectsUnmodeledCores: a 4-core trace timed on a 2-core
+// configuration is an error naming both counts, not a silent replay of
+// cores 0 and 1 alone. Fewer trace cores than modeled stays legal.
+func TestRunRejectsUnmodeledCores(t *testing.T) {
+	rec := trace.NewRecorder(4)
+	for c := 0; c < 4; c++ {
+		rec.Access(c, memdata.Addr(0x1000+c*64), false, 4, 0, false)
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	res, err := RunContext(context.Background(), rec, memdata.NewStore(), nil, baselineBuilder(16<<10), cfg)
+	if err == nil {
+		t.Fatalf("4-core trace on 2 modeled cores accepted (%d instructions timed)", res.Instructions)
+	}
+	if !strings.Contains(err.Error(), "4 cores") || !strings.Contains(err.Error(), "models 2") {
+		t.Errorf("error does not name both core counts: %v", err)
+	}
+	cfg.Cores = 8
+	if _, err := RunContext(context.Background(), rec, memdata.NewStore(), nil, baselineBuilder(16<<10), cfg); err != nil {
+		t.Errorf("4-core trace on 8 modeled cores rejected: %v", err)
 	}
 }
 

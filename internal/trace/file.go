@@ -199,7 +199,7 @@ func (c *Capture) encode() ([]byte, error) {
 
 	// Memory image in ascending block order: ForEachBlock iterates the
 	// arena's page directory sorted, so identical stores yield identical
-	// bytes (unlike the legacy bundle's map-order walk).
+	// bytes.
 	nblocks := 0
 	c.InitialMem.ForEachBlock(func(memdata.Addr, *memdata.Block) { nblocks++ })
 	w.uvarint(uint64(nblocks))
@@ -358,7 +358,7 @@ func readCapped(r io.Reader, n uint64) ([]byte, error) {
 	if n > maxSectionSz {
 		return nil, fmt.Errorf("implausible section length %d", n)
 	}
-	buf := make([]byte, 0, min64(n, readChunk))
+	buf := make([]byte, 0, min(n, readChunk))
 	var chunk [readChunk]byte
 	for uint64(len(buf)) < n {
 		want := n - uint64(len(buf))
@@ -835,7 +835,7 @@ func decodeTraces(p *payload) (*Recorder, error) {
 		if count > uint64(p.remaining())/3+1 {
 			return nil, fmt.Errorf("core %d: record count %d exceeds payload (%d bytes)", c, count, p.remaining())
 		}
-		t := make(Trace, 0, min64(count, capCapRec))
+		t := make(Trace, 0, min(count, capCapRec))
 		prev := uint64(0)
 		for i := uint64(0); i < count; i++ {
 			flags, err := p.uvarint()
@@ -894,7 +894,7 @@ func decodeOrder(p *payload, rec *Recorder) error {
 	if count != uint64(rec.Len()) {
 		return fmt.Errorf("order count %d does not match %d recorded accesses", count, rec.Len())
 	}
-	order := make([]uint16, 0, min64(count, capCapRec))
+	order := make([]uint16, 0, min(count, capCapRec))
 	for i := uint64(0); i < count; i++ {
 		core, err := p.uvarint()
 		if err != nil {

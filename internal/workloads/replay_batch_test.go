@@ -104,3 +104,13 @@ func TestReplayBatchMatchesSequentialRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCaptureOfRequiresRecording: only a run made with RunOptions.Record
+// carries the stream and initial image a capture persists.
+func TestCaptureOfRequiresRecording(t *testing.T) {
+	f, _ := ByName("inversek2j")
+	run := RunFunctional(f.New(0.05), BaselineBuilder(2<<20, 16), RunOptions{Cores: 1})
+	if _, err := CaptureOf(run, trace.FileHeader{Benchmark: "inversek2j"}); err == nil {
+		t.Error("unrecorded run accepted")
+	}
+}
