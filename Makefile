@@ -4,9 +4,12 @@
 # exercises the sweep engine and workloads at GOMAXPROCS 1 and 4, since the
 # parallel experiment engine must be correct at any worker count.
 # `faults-smoke` proves the fault-injection layer deterministic under the
-# race detector, `quality-smoke` does the same for the quality guard (breaker
+# race detector (including the cache array's pinned fault sites and victim
+# order), `quality-smoke` does the same for the quality guard (breaker
 # property test plus sweep determinism), and `test-interrupt` exercises the
-# SIGINT/checkpoint/resume path end to end; all three are folded into `race`.
+# SIGINT/checkpoint/resume path end to end (and the refusal to resume a
+# checkpoint recorded under another scale, core count, seed or budget);
+# all three are folded into `race`.
 # `trace-smoke` proves the persistent trace cache end to end under the race
 # detector (capture, replay, strict-replay rejection, persist-failure
 # degradation, doppelsim's -savetrace/-replay over the same captures, and
@@ -41,8 +44,9 @@
 # regenerated by `bench-baseline` with DOPPEL_BENCH_LIVE=1 so the FuncSweep
 # rows' speedups are warm-replay versus live kernel execution; the
 # FuncSweepBatched row replays through the shared decoded-capture cache).
-# `bench-smoke` runs one iteration of each Evaluation benchmark as a cheap
-# liveness check and is folded into `race`.
+# `bench-smoke` runs one iteration of each Evaluation benchmark, and of the
+# per-layer cache-array (BenchmarkLookup) and timing-model (BenchmarkRun)
+# benchmarks, as a cheap liveness check and is folded into `race`.
 # `cover` reports per-package statement coverage and enforces the
 # internal/trace floor (the decoder is security-sensitive: 85%) and the
 # internal/server floor (the robustness layer: 80%).
@@ -97,10 +101,13 @@ bench-baseline:
 
 bench-smoke:
 	$(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkLookup$$' -benchtime 1x ./internal/cache/
+	$(GO) test -run xxx -bench 'BenchmarkRun$$' -benchtime 1x ./internal/timesim/
 
 faults-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestFaultSweepDeterministic|TestFaultSeedChangesSites' ./internal/sweep/
 	$(GO) test -race -run 'TestDeterministicSites|TestModels' ./internal/faults/
+	$(GO) test -race -run 'TestVictimOrder|TestFaultSitesPinned' ./internal/cache/
 
 quality-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestQualitySweepDeterministic|TestQualityGuard' ./internal/sweep/
@@ -137,7 +144,7 @@ chaos-smoke:
 	$(GO) test -race -short -run 'TestChaosSoakShort' ./cmd/chaossoak/
 
 test-interrupt:
-	$(GO) test -run 'TestInterruptResume' ./cmd/experiments/
+	$(GO) test -run 'TestInterruptResume|TestResumeRefusesOtherIdentity' ./cmd/experiments/
 	$(GO) test -run 'TestGangContextCancel|TestGangKernelPanic|TestGangNoGoroutineLeak' ./internal/funcsim/
 
 fuzz-smoke:

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -101,5 +102,48 @@ poll:
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed output diverged:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+}
+
+// TestResumeRefusesOtherIdentity: a checkpoint recorded at one scale and
+// resumed at another must be refused, exit 1, naming both run identities,
+// and print no table. Record keys name a cell but not the scale it ran at,
+// so serving the records would print the other scale's numbers.
+func TestResumeRefusesOtherIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary and runs simulations")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	cp := filepath.Join(dir, "ck")
+	if out, err := exec.Command(bin, "-scale", "0.05", "-only", "kmeans", "-quiet", "-checkpoint", cp, "fig9").CombinedOutput(); err != nil {
+		t.Fatalf("recording run: %v\n%s", err, out)
+	}
+	before, err := os.ReadFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(bin, "-scale", "0.02", "-only", "kmeans", "-quiet", "-checkpoint", cp, "-resume", "fig9")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("resume at another scale exited %v, want 1\nstderr: %s", err, stderr.String())
+	}
+	for _, want := range []string{"scale=0.05|cores=4", "scale=0.02|cores=4", "delete the file or rerun without -resume"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("refused resume printed tables:\n%s", stdout.String())
+	}
+	if after, _ := os.ReadFile(cp); !bytes.Equal(after, before) {
+		t.Error("refused resume modified the checkpoint")
 	}
 }

@@ -151,20 +151,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweepd: "+format+"\n", args...)
 	}
 
-	var cp *sweep.Checkpoint
-	if *checkpoint != "" {
-		cp, err = sweep.OpenCheckpoint(*checkpoint, *resume)
-		if err != nil {
-			fail(err)
-		}
-		for _, w := range cp.Warnings() {
-			logf("checkpoint: %s", w)
-		}
-		if *resume && cp.Len() > 0 {
-			logf("resumed %d checkpointed result(s) from %s", cp.Len(), *checkpoint)
-		}
-	}
-
 	cfg := server.Config{
 		Scale:          *scale,
 		Cores:          *cores,
@@ -192,11 +178,24 @@ func main() {
 		TraceVerify:    verifyMode,
 		DecodedCacheMB: *decodedCacheMB,
 		ReplayBatch:    *replayBatch,
-		Checkpoint:     cp,
 		Log:            logw,
 	}
 	if *only != "" {
 		cfg.Only = strings.Split(*only, ",")
+	}
+	var cp *sweep.Checkpoint
+	if *checkpoint != "" {
+		cp, err = sweep.OpenCheckpoint(*checkpoint, cfg.RunIdentity(), *resume)
+		if err != nil {
+			fail(err)
+		}
+		for _, w := range cp.Warnings() {
+			logf("checkpoint: %s", w)
+		}
+		if *resume && cp.Len() > 0 {
+			logf("resumed %d checkpointed result(s) from %s", cp.Len(), *checkpoint)
+		}
+		cfg.Checkpoint = cp
 	}
 	s, err := server.New(cfg)
 	if err != nil {

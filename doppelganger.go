@@ -713,10 +713,12 @@ func (e *Evaluation) Faults(rates []float64, seed uint64, model FaultModel) {
 // CheckpointTo persists every completed simulation result to the JSONL file
 // at path as it finishes. With resume set, records already in the file are
 // loaded first and their tasks are skipped bit-identically; a file written
-// by an incompatible schema version is rejected with an error. The returned
-// finish function flushes and closes the file.
+// by an incompatible schema version, or under another scale, core count,
+// seed or budget, is rejected with an error. The file is bound to the
+// evaluation's configuration at this call, so configure Faults and Quality
+// first. The returned finish function flushes and closes the file.
 func (e *Evaluation) CheckpointTo(path string, resume bool) (finish func() error, err error) {
-	cp, err := sweep.OpenCheckpoint(path, resume)
+	cp, err := sweep.OpenCheckpoint(path, e.r.Identity(), resume)
 	if err != nil {
 		return nil, err
 	}

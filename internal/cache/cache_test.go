@@ -91,8 +91,7 @@ func TestLRUTouchOnLookup(t *testing.T) {
 func TestVictimPrefersInvalid(t *testing.T) {
 	c := tiny()
 	c.Install(c.Victim(0x000), 0x000, nil)
-	v := c.Victim(0x100)
-	if v.Valid {
+	if c.Valid(c.Victim(0x100)) {
 		t.Error("victim should be the invalid way")
 	}
 }
@@ -167,11 +166,11 @@ func TestForEachValidAndEvictionStats(t *testing.T) {
 	c := tiny()
 	for i := 0; i < 16; i++ {
 		ba := memdata.Addr(i * 64)
-		v := c.Victim(ba)
-		if v.Valid {
-			v.Dirty = true // force a dirty eviction count
+		f := c.Victim(ba)
+		if c.Valid(f) {
+			c.At(f).Dirty = true // force a dirty eviction count
 		}
-		c.Install(v, ba, nil)
+		c.Install(f, ba, nil)
 	}
 	if c.Stats.Evictions != 8 {
 		t.Errorf("evictions = %d, want 8", c.Stats.Evictions)

@@ -49,17 +49,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Line is one cache frame. Coh/Sharers/Owner are used where the array acts
-// as (or feeds) a directory; private caches use Coh only.
+// Line is the payload of one cache frame. Coh is the private-cache
+// coherence state. A frame's tag, valid bit and LRU stamp live in the
+// Cache's dense per-set arrays instead, so a probe never touches payloads.
 type Line struct {
-	Valid bool
 	Dirty bool
-	Tag   uint32
-	Addr  memdata.Addr // full block address (redundant with Tag+set, kept for convenience)
-	Data  memdata.Block
 	Coh   coherence.State
-	Dir   coherence.Line // directory info when this array is an inclusive LLC
-	lru   uint64
+	Addr  memdata.Addr // full block address (redundant with tag+set, kept for convenience)
+	Data  memdata.Block
 }
 
 // Stats counts functional events on the array.
@@ -78,12 +75,19 @@ type cacheMetrics struct {
 	hits, misses, evictions, dirty *metrics.Counter
 }
 
-// Cache is a set-associative array with LRU replacement.
+// Cache is a set-associative array with LRU replacement. Frames are
+// numbered set-major (frame = set*Ways + way). The tag array (keys) and the
+// LRU stamps are dense slices apart from the payloads (lines), as the
+// paper's decoupled tag and data arrays are (§3): a 16-way probe reads 16
+// adjacent uint32s instead of walking 16 payload frames.
 type Cache struct {
 	cfg      Config
-	sets     [][]Line
-	setShift uint
+	ways     int
+	keys     []uint32 // tag+1 per frame; 0 marks an invalid frame
+	lru      []uint64 // last-touch stamp per frame; read only for valid frames
+	lines    []Line
 	setMask  uint32
+	tagShift uint // OffsetBits + set index bits
 	tick     uint64
 	Stats    Stats
 	m        cacheMetrics
@@ -100,17 +104,17 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	c := &Cache{
+	frames := nsets * cfg.Ways
+	indexBits := bits.TrailingZeros32(uint32(nsets))
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]Line, nsets),
-		setShift: memdata.OffsetBits,
+		ways:     cfg.Ways,
+		keys:     make([]uint32, frames),
+		lru:      make([]uint64, frames),
+		lines:    make([]Line, frames),
 		setMask:  uint32(nsets - 1),
+		tagShift: uint(memdata.OffsetBits + indexBits),
 	}
-	backing := make([]Line, nsets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return c
 }
 
 // Config returns the array geometry.
@@ -141,91 +145,105 @@ func (c *Cache) AttachFaults(inj *faults.Injector, tag, data faults.Target) {
 }
 
 // SetIndexBits returns log2(number of sets).
-func (c *Cache) SetIndexBits() int { return bits.TrailingZeros32(c.setMask + 1) }
+func (c *Cache) SetIndexBits() int { return int(c.tagShift) - memdata.OffsetBits }
 
-// TagBits returns the tag width for a 32-bit physical address.
-func (c *Cache) TagBits() int { return 32 - memdata.OffsetBits - c.SetIndexBits() }
+// TagBits returns the tag width for a 32-bit physical address. Tags are at
+// most 26 bits wide, so the stored key tag+1 never overflows.
+func (c *Cache) TagBits() int { return 32 - int(c.tagShift) }
 
-func (c *Cache) setIndex(addr memdata.Addr) uint32 {
-	return (uint32(addr) >> c.setShift) & c.setMask
+// set returns the frame range of addr's set and addr's stored key.
+func (c *Cache) set(addr memdata.Addr) (base int, key uint32) {
+	a := uint32(addr)
+	return int((a>>memdata.OffsetBits)&c.setMask) * c.ways, a>>c.tagShift + 1
 }
 
-func (c *Cache) tagOf(addr memdata.Addr) uint32 {
-	return uint32(addr) >> (c.setShift + uint(c.SetIndexBits()))
+// find returns the frame holding addr's block, or -1.
+func (c *Cache) find(addr memdata.Addr) int {
+	base, key := c.set(addr)
+	for i, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup finds the line holding addr's block, updating LRU on a hit.
 // It returns nil on a miss. Stats are updated.
 func (c *Cache) Lookup(addr memdata.Addr) *Line {
-	if l := c.Probe(addr); l != nil {
-		c.touch(l)
-		c.Stats.Hits++
-		c.m.hits.Inc()
-		if c.inj != nil {
-			c.injectHit(l)
-		}
-		return l
+	f := c.find(addr)
+	if f < 0 {
+		c.Stats.Misses++
+		c.m.misses.Inc()
+		return nil
 	}
-	c.Stats.Misses++
-	c.m.misses.Inc()
-	return nil
+	c.touch(f)
+	c.Stats.Hits++
+	c.m.hits.Inc()
+	if c.inj != nil {
+		c.injectHit(f)
+	}
+	return &c.lines[f]
 }
 
-// injectHit draws faults against the line being returned from a hit: one
+// injectHit draws faults against the frame being returned from a hit: one
 // data-array draw that may corrupt the stored payload in place, and one
-// tag-array draw that may flip a stored tag bit. The Addr field is the
-// simulator's ground truth for writebacks and back-invalidations and is
+// tag-array draw that may flip a bit of the stored tag. The Addr field is
+// the simulator's ground truth for writebacks and back-invalidations and is
 // deliberately left intact — a corrupted tag makes the line stop answering
 // for its true address (and possibly answer for another), which the
 // hierarchy's inclusivity corners already absorb.
-func (c *Cache) injectHit(l *Line) {
-	c.inj.CorruptBlock(c.injData, &l.Data)
-	l.Tag = c.inj.CorruptBits(c.injTag, l.Tag, c.TagBits())
+func (c *Cache) injectHit(f int) {
+	c.inj.CorruptBlock(c.injData, &c.lines[f].Data)
+	c.keys[f] = c.inj.CorruptBits(c.injTag, c.keys[f]-1, c.TagBits()) + 1
 }
 
 // Probe finds the line holding addr's block without updating LRU or stats.
 func (c *Cache) Probe(addr memdata.Addr) *Line {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			return &set[i]
-		}
+	if f := c.find(addr); f >= 0 {
+		return &c.lines[f]
 	}
 	return nil
 }
 
-// touch marks l most recently used.
-func (c *Cache) touch(l *Line) {
+// touch marks frame f most recently used.
+func (c *Cache) touch(f int) {
 	c.tick++
-	l.lru = c.tick
+	c.lru[f] = c.tick
 }
 
-// Touch promotes the line to MRU; exported for callers that Probe first.
-func (c *Cache) Touch(l *Line) { c.touch(l) }
-
-// Victim selects the fill victim for addr's set: an invalid way if one
-// exists, otherwise the LRU line. The returned line is still live; callers
-// inspect it (for writebacks / back-invalidations) before overwriting.
-func (c *Cache) Victim(addr memdata.Addr) *Line {
-	set := c.sets[c.setIndex(addr)]
-	victim := &set[0]
-	for i := range set {
-		if !set[i].Valid {
-			return &set[i]
+// Victim selects the fill frame for addr's set: the first invalid way if
+// one exists, otherwise the first least-recently-used way. The frame is
+// still live; callers inspect it (Valid, At) for writebacks and
+// back-invalidations before Install overwrites it.
+func (c *Cache) Victim(addr memdata.Addr) int {
+	base, _ := c.set(addr)
+	keys, lru := c.keys[base:base+c.ways], c.lru[base:base+c.ways]
+	v := 0
+	for i, k := range keys {
+		if k == 0 {
+			return base + i
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if lru[i] < lru[v] {
+			v = i
 		}
 	}
-	return victim
+	return base + v
 }
 
-// Install fills addr's block into l (which must come from Victim(addr)),
-// resetting metadata and promoting it to MRU. Eviction bookkeeping is the
-// caller's responsibility; Install records eviction stats if l was valid.
-func (c *Cache) Install(l *Line, addr memdata.Addr, data *memdata.Block) {
-	if l.Valid {
+// Valid reports whether frame f holds a block.
+func (c *Cache) Valid(f int) bool { return c.keys[f] != 0 }
+
+// At returns frame f's payload.
+func (c *Cache) At(f int) *Line { return &c.lines[f] }
+
+// Install fills addr's block into frame f (which must come from
+// Victim(addr)), resetting its metadata, promoting it to MRU and returning
+// the filled line. Eviction bookkeeping is the caller's responsibility;
+// Install records eviction stats if f was valid.
+func (c *Cache) Install(f int, addr memdata.Addr, data *memdata.Block) *Line {
+	l := &c.lines[f]
+	if c.keys[f] != 0 {
 		c.Stats.Evictions++
 		c.m.evictions.Inc()
 		if l.Dirty {
@@ -233,35 +251,38 @@ func (c *Cache) Install(l *Line, addr memdata.Addr, data *memdata.Block) {
 			c.m.dirty.Inc()
 		}
 	}
-	*l = Line{
-		Valid: true,
-		Tag:   c.tagOf(addr),
-		Addr:  addr.BlockAddr(),
-	}
+	_, c.keys[f] = c.set(addr)
+	l.Dirty = false
+	l.Coh = coherence.Invalid
+	l.Addr = addr.BlockAddr()
 	if data != nil {
 		l.Data = *data
+	} else {
+		l.Data = memdata.Block{}
 	}
-	c.touch(l)
+	c.touch(f)
+	return l
 }
 
 // Invalidate drops addr's block if present, returning the stale line value
-// (for writeback decisions) and whether it was present.
+// (for writeback decisions) and whether it was present. The frame's payload
+// is cleared, so a pointer still held to it reads a zero block.
 func (c *Cache) Invalidate(addr memdata.Addr) (Line, bool) {
-	if l := c.Probe(addr); l != nil {
-		old := *l
-		*l = Line{}
-		return old, true
+	f := c.find(addr)
+	if f < 0 {
+		return Line{}, false
 	}
-	return Line{}, false
+	old := c.lines[f]
+	c.keys[f] = 0
+	c.lines[f] = Line{}
+	return old, true
 }
 
 // ForEachValid visits every valid line; used by the snapshot analyzers.
 func (c *Cache) ForEachValid(fn func(l *Line)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid {
-				fn(&c.sets[s][w])
-			}
+	for f, k := range c.keys {
+		if k != 0 {
+			fn(&c.lines[f])
 		}
 	}
 }
@@ -269,7 +290,11 @@ func (c *Cache) ForEachValid(fn func(l *Line)) {
 // ValidCount returns the number of valid lines.
 func (c *Cache) ValidCount() int {
 	n := 0
-	c.ForEachValid(func(*Line) { n++ })
+	for _, k := range c.keys {
+		if k != 0 {
+			n++
+		}
+	}
 	return n
 }
 
@@ -277,14 +302,12 @@ func (c *Cache) ValidCount() int {
 // in unspecified order so writebacks can be performed.
 func (c *Cache) Flush() []Line {
 	var dirty []Line
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.Valid && l.Dirty {
-				dirty = append(dirty, *l)
-			}
-			*l = Line{}
+	for f, k := range c.keys {
+		if k != 0 && c.lines[f].Dirty {
+			dirty = append(dirty, c.lines[f])
 		}
+		c.keys[f] = 0
+		c.lines[f] = Line{}
 	}
 	return dirty
 }

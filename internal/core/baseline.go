@@ -44,15 +44,16 @@ func (b *Baseline) Read(addr memdata.Addr) (memdata.Block, *Effects) {
 		b.inj.CorruptBlock(faults.DRAM, &data)
 	}
 	eff.MemReads = 1
-	victim := b.arr.Victim(addr)
-	if victim.Valid {
+	f := b.arr.Victim(addr)
+	if b.arr.Valid(f) {
+		victim := b.arr.At(f)
 		eff.Evicted = append(eff.Evicted, Eviction{Addr: victim.Addr, Dirty: victim.Dirty})
 		if victim.Dirty {
 			b.store.WriteBlock(victim.Addr, &victim.Data)
 			eff.MemWrites = 1
 		}
 	}
-	b.arr.Install(victim, addr, &data)
+	b.arr.Install(f, addr, &data)
 	eff.PDataReads = 1 // fill write counted as a data-array access
 	eff.PDataWrites = 1
 	return data, eff

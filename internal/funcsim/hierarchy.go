@@ -453,8 +453,8 @@ func (h *Hierarchy) applyEffects(eff *core.Effects) {
 func (h *Hierarchy) fillL1(c int, ba memdata.Addr, data *memdata.Block, st coherence.State) *cache.Line {
 	d := *data // copy: victim handling below may clobber the source line
 	data = &d
-	v := h.l1[c].Victim(ba)
-	if v.Valid && v.Dirty {
+	f := h.l1[c].Victim(ba)
+	if v := h.l1[c].At(f); h.l1[c].Valid(f) && v.Dirty {
 		if l2 := h.l2[c].Probe(v.Addr); l2 != nil {
 			l2.Data = v.Data
 			l2.Dirty = true
@@ -463,8 +463,7 @@ func (h *Hierarchy) fillL1(c int, ba memdata.Addr, data *memdata.Block, st coher
 			h.writebackToLLC(v.Addr, &v.Data)
 		}
 	}
-	h.l1[c].Install(v, ba, data)
-	l := h.l1[c].Probe(ba)
+	l := h.l1[c].Install(f, ba, data)
 	l.Coh = st
 	return l
 }
@@ -472,8 +471,9 @@ func (h *Hierarchy) fillL1(c int, ba memdata.Addr, data *memdata.Block, st coher
 // fillL2 installs data into core c's L2, evicting (and writing back) the
 // victim and enforcing L1 ⊆ L2.
 func (h *Hierarchy) fillL2(c int, ba memdata.Addr, data *memdata.Block, st coherence.State) *cache.Line {
-	v := h.l2[c].Victim(ba)
-	if v.Valid {
+	f := h.l2[c].Victim(ba)
+	if h.l2[c].Valid(f) {
+		v := h.l2[c].At(f)
 		victimAddr := v.Addr
 		h.wbScratch = v.Data
 		victimDirty := v.Dirty
@@ -493,8 +493,7 @@ func (h *Hierarchy) fillL2(c int, ba memdata.Addr, data *memdata.Block, st coher
 			h.writebackToLLC(victimAddr, &h.wbScratch)
 		}
 	}
-	h.l2[c].Install(v, ba, data)
-	l := h.l2[c].Probe(ba)
+	l := h.l2[c].Install(f, ba, data)
 	l.Coh = st
 	return l
 }

@@ -118,3 +118,32 @@ func TestRetryAfterSeconds(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRefusesCheckpointOfAnotherIdentity: a checkpoint bound to another
+// run identity (here another scale) must not prime the shard runners, and
+// one opened under RunIdentity is accepted.
+func TestNewRefusesCheckpointOfAnotherIdentity(t *testing.T) {
+	cfg := testConfig()
+	other := cfg
+	other.Scale = 0.05
+	cp, err := sweep.OpenCheckpoint(filepath.Join(t.TempDir(), "cp.jsonl"), other.RunIdentity(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	cfg.Checkpoint = cp
+	if s, err := New(cfg); err == nil {
+		s.Close()
+		t.Fatal("server accepted a checkpoint of another identity")
+	} else if !strings.Contains(err.Error(), other.RunIdentity()) || !strings.Contains(err.Error(), cfg.RunIdentity()) {
+		t.Fatalf("error does not name both identities: %v", err)
+	}
+
+	same, err := sweep.OpenCheckpoint(filepath.Join(t.TempDir(), "cp2.jsonl"), cfg.RunIdentity(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer same.Close()
+	cfg.Checkpoint = same
+	mustServer(t, cfg)
+}

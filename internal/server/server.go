@@ -125,8 +125,9 @@ type Config struct {
 	ReplayBatch    int
 
 	// Checkpoint, when non-nil, persists every completed result and primes
-	// every shard runner from already-loaded records (resume). The caller
-	// owns and closes it.
+	// every shard runner from already-loaded records (resume). It must be
+	// opened under RunIdentity; New refuses one bound to another identity.
+	// The caller owns and closes it.
 	Checkpoint *sweep.Checkpoint
 
 	// Metrics receives all server and simulation instruments (created if
@@ -249,6 +250,25 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
+// newRunner builds a shard runner with every knob that names its results.
+// The caller adds the per-server plumbing (log, metrics, trace cache).
+func (c Config) newRunner() *sweep.Runner {
+	r := sweep.NewRunner(c.Scale)
+	r.Cores = c.Cores
+	r.Only = c.Only
+	r.FaultRates = c.FaultRates
+	r.FaultSeed = c.FaultSeed
+	r.FaultModel = c.FaultModel
+	r.QualityBudget = c.QualityBudget
+	r.QualitySeed = c.QualitySeed
+	r.CanaryRate = c.CanaryRate
+	return r
+}
+
+// RunIdentity is the sweep.Runner identity every shard of a server built
+// from c runs under: the identity to open its Checkpoint with.
+func (c Config) RunIdentity() string { return c.withDefaults().newRunner().Identity() }
+
 // New builds and starts a server (its shard workers run until Close).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -257,6 +277,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Shards < 1 || cfg.ShardWorkers < 1 {
 		return nil, fmt.Errorf("server: need at least one shard and one worker, got %d x %d", cfg.Shards, cfg.ShardWorkers)
+	}
+	if cp := cfg.Checkpoint; cp != nil {
+		if id := cfg.newRunner().Identity(); cp.Ident() != id {
+			return nil, fmt.Errorf("server: checkpoint is bound to identity %q, the server runs %q", cp.Ident(), id)
+		}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -334,17 +359,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	for i := 0; i < cfg.Shards; i++ {
-		r := sweep.NewRunner(cfg.Scale)
-		r.Cores = cfg.Cores
-		r.Only = cfg.Only
+		r := cfg.newRunner()
 		r.Log = log
 		r.Metrics = reg
-		r.FaultRates = cfg.FaultRates
-		r.FaultSeed = cfg.FaultSeed
-		r.FaultModel = cfg.FaultModel
-		r.QualityBudget = cfg.QualityBudget
-		r.QualitySeed = cfg.QualitySeed
-		r.CanaryRate = cfg.CanaryRate
 		r.TraceDir = cfg.TraceDir
 		r.TraceCapture = cfg.TraceCapture
 		r.TraceReplay = cfg.TraceReplay
@@ -405,7 +422,7 @@ func (s *Server) contentHash(c Cell) string {
 	// Every shard runner is configured identically; shard 0's names the cell.
 	r := s.shards[0].runner
 	h := fnv.New64a()
-	fmt.Fprintf(h, "sweepd1|%s|scale=%g|cores=%d%s", c.Key(), r.Scale, r.Cores, r.Knobs())
+	fmt.Fprintf(h, "sweepd1|%s|%s", c.Key(), r.Identity())
 	if s.cfg.TraceDir != "" && c.Bench != "" {
 		ident, _ := Cell{Kind: "baseline-timing", Bench: c.Bench}.CaptureIdent(r)
 		if d, err := trace.FileDigest(workloads.CapturePath(s.cfg.TraceDir, ident)); err == nil {

@@ -229,6 +229,13 @@ func (r *Runner) Knobs() string {
 		r.QualitySeed, r.qualityBudget(), r.canaryRate())
 }
 
+// Identity names everything beyond a cell's key that its result depends
+// on: the scale, the core count and Knobs. A checkpoint header carries it,
+// and the sweep server hashes it with the cell key.
+func (r *Runner) Identity() string {
+	return fmt.Sprintf("scale=%g|cores=%d%s", r.Scale, r.Cores, r.Knobs())
+}
+
 // CaptureIdent is the full identity of the capture the cell's functional
 // work replays under r: the identity stored in (and re-checked against) the
 // capture file's header, whose hash is the file name. Error and guarded

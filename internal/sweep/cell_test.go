@@ -73,7 +73,7 @@ func TestCellKey(t *testing.T) {
 			ident: "dgtf1|base/kmeans" + base},
 		{cell: Cell{Kind: "figure", Figure: "fig10"}, stem: "figure/fig10", key: "figure/fig10"},
 	}
-	cp, err := OpenCheckpoint(filepath.Join(t.TempDir(), "cp.jsonl"), false)
+	cp, err := OpenCheckpoint(filepath.Join(t.TempDir(), "cp.jsonl"), testIdent(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

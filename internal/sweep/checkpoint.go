@@ -15,14 +15,17 @@ import (
 )
 
 // CheckpointSchemaVersion is the on-disk format version. The first line of
-// every checkpoint file is a header record carrying it; -resume refuses a
-// mismatched (or missing) version instead of silently priming caches with
-// records whose meaning may have changed.
+// every checkpoint file is a header record carrying it and the run
+// identity; -resume refuses a mismatched (or missing) version, and a
+// different identity, instead of silently priming caches with records whose
+// meaning may have changed.
 //
-// History: version 1 was the PR 3 format (implicit — no header, "error" and
-// "timing" records only); version 2 added the header itself and the
-// "quality" record kind.
-const CheckpointSchemaVersion = 2
+// History: version 1 was the original format (implicit — no header,
+// "error" and "timing" records only); version 2 added the header itself and
+// the "quality" record kind; version 3 added the run identity to the header,
+// since record keys name a cell but not the scale, cores or knobs it ran
+// under.
+const CheckpointSchemaVersion = 3
 
 // maxCheckpointWarnings caps the warning log so a corrupt (or hostile) file
 // cannot balloon memory; the tail is summarized instead.
@@ -42,6 +45,7 @@ const maxCheckpointWarnings = 20
 type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
+	ident    string
 	saved    map[string]bool
 	errs     map[string]float64
 	timing   map[string]*TimingSummary
@@ -94,20 +98,24 @@ func (s *TimingSummary) Result() *timesim.Result {
 type checkpointRecord struct {
 	Kind    string          `json:"kind"` // "header", "error", "timing" or "quality"
 	Version int             `json:"version,omitempty"`
+	Ident   string          `json:"ident,omitempty"` // header only: Runner.Identity of the run
 	Key     string          `json:"key,omitempty"`
 	Bits    uint64          `json:"bits,omitempty"` // math.Float64bits of the error value
 	Timing  *TimingSummary  `json:"timing,omitempty"`
 	Quality *QualityOutcome `json:"quality,omitempty"`
 }
 
-// OpenCheckpoint opens (or creates) the checkpoint file at path. With
-// resume set, existing records are loaded first — feed them to
-// Runner.Resume — and new records append after them; without it the file is
-// truncated and a fresh schema header is written. A partial trailing line
-// (a write cut off by a kill) is tolerated and dropped; duplicate keys keep
-// the last record, with a warning (see Warnings).
-func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
+// OpenCheckpoint opens (or creates) the checkpoint file at path for a run
+// whose Runner.Identity is ident. With resume set, existing records are
+// loaded first — feed them to Runner.Resume — and new records append after
+// them; a file written under another identity is refused, naming both.
+// Without resume the file is truncated and a fresh schema header carrying
+// ident is written. A partial trailing line (a write cut off by a kill) is
+// tolerated and dropped; duplicate keys keep the last record, with a
+// warning (see Warnings).
+func OpenCheckpoint(path, ident string, resume bool) (*Checkpoint, error) {
 	cp := &Checkpoint{
+		ident:   ident,
 		saved:   make(map[string]bool),
 		errs:    make(map[string]float64),
 		timing:  make(map[string]*TimingSummary),
@@ -136,7 +144,7 @@ func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 
 // writeHeader appends the schema header line.
 func (cp *Checkpoint) writeHeader() error {
-	b, err := json.Marshal(checkpointRecord{Kind: "header", Version: CheckpointSchemaVersion})
+	b, err := json.Marshal(checkpointRecord{Kind: "header", Version: CheckpointSchemaVersion, Ident: cp.ident})
 	if err != nil {
 		return err
 	}
@@ -166,11 +174,11 @@ func (d *checkpointData) warnf(format string, args ...interface{}) {
 }
 
 // parseCheckpoint reads a checkpoint stream: a schema header line first,
-// then one record per line. It enforces the schema version, tolerates
-// unparseable lines (a torn trailing write — or mid-file corruption, which
-// additionally earns a warning), and resolves duplicate keys by keeping the
-// last record with a warning.
-func parseCheckpoint(r io.Reader) (*checkpointData, error) {
+// then one record per line. It enforces the schema version and the run
+// identity ident, tolerates unparseable lines (a torn trailing write — or
+// mid-file corruption, which additionally earns a warning), and resolves
+// duplicate keys by keeping the last record with a warning.
+func parseCheckpoint(r io.Reader, ident string) (*checkpointData, error) {
 	d := &checkpointData{
 		errs:    make(map[string]float64),
 		timing:  make(map[string]*TimingSummary),
@@ -204,6 +212,10 @@ func parseCheckpoint(r io.Reader) (*checkpointData, error) {
 			if rec.Version != CheckpointSchemaVersion {
 				return nil, fmt.Errorf("schema version %d, this binary reads %d; delete the file or rerun without -resume",
 					rec.Version, CheckpointSchemaVersion)
+			}
+			if rec.Ident != ident {
+				return nil, fmt.Errorf("written by a run with identity %q, this run is %q; delete the file or rerun without -resume",
+					rec.Ident, ident)
 			}
 			sawHeader = true
 			continue
@@ -254,7 +266,7 @@ func (cp *Checkpoint) load() error {
 	if _, err := cp.f.Seek(0, 0); err != nil {
 		return err
 	}
-	d, err := parseCheckpoint(cp.f)
+	d, err := parseCheckpoint(cp.f, cp.ident)
 	if err != nil {
 		return err
 	}
@@ -276,6 +288,9 @@ func (cp *Checkpoint) load() error {
 	}
 	return nil
 }
+
+// Ident returns the run identity the file is bound to.
+func (cp *Checkpoint) Ident() string { return cp.ident }
 
 // Errors returns the loaded error records (for Runner.Resume).
 func (cp *Checkpoint) Errors() map[string]float64 { return cp.errs }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,29 +9,112 @@ import (
 	"strings"
 	"testing"
 
+	"doppelganger/internal/faults"
 	"doppelganger/internal/quality"
+	"doppelganger/internal/timesim"
 )
 
 // --- checkpoint schema enforcement (no simulations) ---
+
+// testIdent is the identity of a default runner at scale 0.05, the one the
+// checkpoint tests resume into.
+func testIdent() string { return NewRunner(0.05).Identity() }
+
+// headerLine is the schema header a checkpoint opened under ident starts
+// with.
+func headerLine(ident string) string {
+	b, err := json.Marshal(checkpointRecord{Kind: "header", Version: CheckpointSchemaVersion, Ident: ident})
+	if err != nil {
+		panic(err)
+	}
+	return string(b) + "\n"
+}
 
 // TestCheckpointRejectsVersionMismatch: a checkpoint written by a different
 // schema version must be refused with an actionable message, not silently
 // loaded with reinterpreted records.
 func TestCheckpointRejectsVersionMismatch(t *testing.T) {
+	for _, v := range []string{"1", "2"} {
+		path := filepath.Join(t.TempDir(), "cp.jsonl")
+		content := `{"kind":"header","version":` + v + `}` + "\n" +
+			`{"kind":"error","key":"old","bits":1}` + "\n"
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenCheckpoint(path, testIdent(), true)
+		if err == nil {
+			t.Fatalf("version-%s checkpoint accepted", v)
+		}
+		for _, want := range []string{"schema version " + v, "delete the file"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error missing %q:\n%v", want, err)
+			}
+		}
+	}
+}
+
+// TestCheckpointRefusesOtherIdentity: record keys name a cell, not the
+// scale, core count, seeds or budget it ran under, so a checkpoint resumed
+// by a run that differs in any of them is refused with a message naming
+// both identities. Nothing is loaded, nothing served, the file untouched.
+func TestCheckpointRefusesOtherIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	content := `{"kind":"header","version":1}` + "\n" +
-		`{"kind":"error","key":"old","bits":1}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	cp, err := OpenCheckpoint(path, testIdent(), false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenCheckpoint(path, true)
-	if err == nil {
-		t.Fatal("version-1 checkpoint accepted")
+	cp.SaveError("split/kmeans/14/0.25", 0.5)
+	cp.SaveTiming("split/kmeans/14/0.25", &timesim.Result{Cycles: 9})
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"schema version 1", "delete the file"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error missing %q:\n%v", want, err)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		knob string
+		set  func(r *Runner)
+	}{
+		{"scale", func(r *Runner) { r.Scale = 0.02 }},
+		{"cores", func(r *Runner) { r.Cores = 2 }},
+		{"fault seed", func(r *Runner) { r.FaultSeed = 7 }},
+		{"fault model", func(r *Runner) { r.FaultModel = faults.StuckAt1 }},
+		{"quality seed", func(r *Runner) { r.QualitySeed = 7 }},
+		{"budget", func(r *Runner) { r.QualityBudget = 0.01 }},
+		{"canary rate", func(r *Runner) { r.CanaryRate = 0.5 }},
+	} {
+		r := NewRunner(0.05)
+		tc.set(r)
+		re, err := OpenCheckpoint(path, r.Identity(), true)
+		if err == nil {
+			re.Close()
+			t.Errorf("%s changed: checkpoint resumed", tc.knob)
+			continue
 		}
+		if re != nil {
+			t.Errorf("%s changed: refused open still returned a checkpoint", tc.knob)
+		}
+		for _, want := range []string{testIdent(), r.Identity(), "delete the file or rerun without -resume"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s changed: error missing %q:\n%v", tc.knob, want, err)
+			}
+		}
+		if v, err := r.errCache.Do("split/kmeans/14/0.25", func() (float64, error) { return -1, nil }); err != nil || v != -1 {
+			t.Errorf("%s changed: runner served %v, %v instead of computing", tc.knob, v, err)
+		}
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Error("a refused resume modified the file")
+	}
+	// The recording identity still resumes.
+	re, err := OpenCheckpoint(path, testIdent(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Errors()["split/kmeans/14/0.25"] != 0.5 || re.Timings()["split/kmeans/14/0.25"] == nil {
+		t.Fatalf("same-identity resume lost records: %v %v", re.Errors(), re.Timings())
 	}
 }
 
@@ -41,7 +125,7 @@ func TestCheckpointRejectsMissingHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"kind":"error","key":"k","bits":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenCheckpoint(path, true)
+	_, err := OpenCheckpoint(path, testIdent(), true)
 	if err == nil || !strings.Contains(err.Error(), "no schema header") {
 		t.Fatalf("pre-versioning checkpoint accepted: %v", err)
 	}
@@ -54,7 +138,7 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("PK\x03\x04 definitely not jsonl\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenCheckpoint(path, true)
+	_, err := OpenCheckpoint(path, testIdent(), true)
 	if err == nil || !strings.Contains(err.Error(), "unreadable schema header") {
 		t.Fatalf("garbage file accepted: %v", err)
 	}
@@ -67,13 +151,13 @@ func TestCheckpointEmptyFileResume(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := OpenCheckpoint(path, true)
+	cp, err := OpenCheckpoint(path, testIdent(), true)
 	if err != nil {
 		t.Fatalf("empty file refused: %v", err)
 	}
 	cp.SaveError("k", 0.5)
 	cp.Close()
-	re, err := OpenCheckpoint(path, true)
+	re, err := OpenCheckpoint(path, testIdent(), true)
 	if err != nil {
 		t.Fatalf("second resume refused: %v", err)
 	}
@@ -90,13 +174,13 @@ func TestCheckpointEmptyFileResume(t *testing.T) {
 // appending to one file) keep the last record and surface a warning.
 func TestCheckpointDuplicateKeysLastWinWithWarning(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	content := `{"kind":"header","version":2}` + "\n" +
+	content := headerLine(testIdent()) +
 		`{"kind":"error","key":"k","bits":` + "4602678819172646912" + `}` + "\n" + // 0.5
 		`{"kind":"error","key":"k","bits":` + "4598175219545276416" + `}` + "\n" // 0.25
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := OpenCheckpoint(path, true)
+	cp, err := OpenCheckpoint(path, testIdent(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +204,7 @@ func TestCheckpointDuplicateKeysLastWinWithWarning(t *testing.T) {
 // cache so the task is not recomputed.
 func TestCheckpointQualityRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, err := OpenCheckpoint(path, false)
+	cp, err := OpenCheckpoint(path, testIdent(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +225,7 @@ func TestCheckpointQualityRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenCheckpoint(path, true)
+	re, err := OpenCheckpoint(path, testIdent(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,23 +248,26 @@ func TestCheckpointQualityRoundTrip(t *testing.T) {
 // FuzzCheckpointParse: the resume parser must never panic, whatever the file
 // holds — it either loads, warns, or refuses with an error.
 func FuzzCheckpointParse(f *testing.F) {
-	f.Add([]byte(`{"kind":"header","version":2}` + "\n" +
+	const ident = "scale=0.05|cores=4"
+	f.Add([]byte(headerLine(ident) +
 		`{"kind":"error","key":"a","bits":42}` + "\n" +
 		`{"kind":"timing","key":"b","timing":{"Cycles":7}}` + "\n" +
 		`{"kind":"quality","key":"c","quality":{"trips":1,"final_state":"open"}}` + "\n"))
 	f.Add([]byte(`{"kind":"header","version":1}` + "\n"))
+	f.Add([]byte(`{"kind":"header","version":2}` + "\n"))
+	f.Add([]byte(headerLine("scale=0.02|cores=4")))
 	f.Add([]byte(`{"kind":"error","key":"no-header","bits":1}` + "\n"))
-	f.Add([]byte(`{"kind":"header","version":2}` + "\n" + `{"kind":"error","key":"torn`))
-	f.Add([]byte(`{"kind":"header","version":2}` + "\n" +
+	f.Add([]byte(headerLine(ident) + `{"kind":"error","key":"torn`))
+	f.Add([]byte(headerLine(ident) +
 		`{"kind":"error","key":"dup","bits":1}` + "\n" +
 		`{"kind":"error","key":"dup","bits":2}` + "\n" +
-		`{"kind":"header","version":2}` + "\n" +
+		headerLine(ident) +
 		`{"kind":"mystery","key":"x"}` + "\n" +
 		`{"kind":"timing","key":"empty"}` + "\n"))
 	f.Add([]byte("\x00\xff garbage"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := parseCheckpoint(strings.NewReader(string(data)))
+		d, err := parseCheckpoint(strings.NewReader(string(data)), ident)
 		if err != nil {
 			return
 		}

@@ -240,11 +240,11 @@ func TestReplayResumeDeterministic(t *testing.T) {
 	// both the checkpoint and the trace directory.
 	dir := t.TempDir()
 	cpPath := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, err := OpenCheckpoint(cpPath, false)
+	r1 := traceRunner(0.02, dir, "kmeans", "swaptions")
+	cp, err := OpenCheckpoint(cpPath, r1.Identity(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := traceRunner(0.02, dir, "kmeans", "swaptions")
 	r1.Checkpoint = cp
 	compute(r1, cells[:3])
 	if err := cp.Close(); err != nil {
@@ -252,7 +252,8 @@ func TestReplayResumeDeterministic(t *testing.T) {
 	}
 
 	// Second leg: resume over the warm traces and finish everything.
-	re, err := OpenCheckpoint(cpPath, true)
+	r2 := traceRunner(0.02, dir, "kmeans", "swaptions")
+	re, err := OpenCheckpoint(cpPath, r2.Identity(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,6 @@ func TestReplayResumeDeterministic(t *testing.T) {
 	if re.Len() == 0 {
 		t.Fatal("first leg checkpointed nothing")
 	}
-	r2 := traceRunner(0.02, dir, "kmeans", "swaptions")
 	r2.Checkpoint = re
 	r2.Resume(re)
 	got := compute(r2, cells)

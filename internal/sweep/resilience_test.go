@@ -21,7 +21,7 @@ import (
 // write) is dropped instead of poisoning the resume.
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, err := OpenCheckpoint(path, false)
+	cp, err := OpenCheckpoint(path, testIdent(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	f.WriteString(`{"kind":"error","key":"torn`)
 	f.Close()
 
-	re, err := OpenCheckpoint(path, true)
+	re, err := OpenCheckpoint(path, testIdent(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // discards stale records.
 func TestCheckpointTruncatesWithoutResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, _ := OpenCheckpoint(path, false)
+	cp, _ := OpenCheckpoint(path, testIdent(), false)
 	cp.SaveError("old", 1)
 	cp.Close()
-	cp2, err := OpenCheckpoint(path, false)
+	cp2, err := OpenCheckpoint(path, testIdent(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Full run, checkpointed.
 	pathA := filepath.Join(dir, "a.jsonl")
-	cpA, err := OpenCheckpoint(pathA, false)
+	cpA, err := OpenCheckpoint(pathA, testIdent(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err := os.WriteFile(pathB, []byte(lines[0]+lines[1]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cpB, err := OpenCheckpoint(pathB, true)
+	cpB, err := OpenCheckpoint(pathB, testIdent(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

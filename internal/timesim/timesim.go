@@ -8,7 +8,6 @@
 package timesim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -30,7 +29,7 @@ type Config struct {
 	Cores int
 	Width int // dispatch width (instructions per cycle)
 	ROB   int // reorder buffer entries
-	MSHRs int // outstanding misses per core
+	MSHRs int // outstanding misses per core (at least 1)
 
 	L1Lat  float64
 	L2Lat  float64
@@ -174,7 +173,7 @@ func (r *robRing) push(e robEntry) {
 // ready computes the cycle at which this core's next memory op can issue,
 // honoring dispatch width, ROB occupancy and MSHR limits. It does not touch
 // shared state, so the scheduler can order cores by it.
-func (cs *coreState) ready(cfg Config) float64 {
+func (cs *coreState) ready(cfg *Config) float64 {
 	r := cs.t[cs.pos]
 	t := cs.dispatch + float64(r.Gap)/float64(cfg.Width)
 	nextInstr := cs.instr + uint64(r.Gap) + 1
@@ -190,15 +189,20 @@ func (cs *coreState) ready(cfg Config) float64 {
 		cs.rob.popFront()
 	}
 	cs.robStall += t - base
-	// MSHRs: at most MSHRs memory ops in flight.
-	base = t
-	for inflight(&cs.rob, t) >= cfg.MSHRs {
-		t = earliestAfter(&cs.rob, t)
+	// MSHRs: at most MSHRs memory ops in flight. Completions never decrease
+	// along the ROB (push enforces in-order retire), so fewer than MSHRs
+	// are in flight exactly once the MSHRs-th newest op has completed.
+	if k := cs.rob.n - cfg.MSHRs; k >= 0 {
+		if c := cs.rob.at(k).complete; c > t {
+			cs.mshrStall += c - t
+			t = c
+		}
 	}
-	cs.mshrStall += t - base
 	return t
 }
 
+// inflight counts the memory ops still in flight at cycle t (the MSHR
+// occupancy histogram's sample).
 func inflight(rob *robRing, t float64) int {
 	n := 0
 	for i := rob.n - 1; i >= 0; i-- {
@@ -211,29 +215,55 @@ func inflight(rob *robRing, t float64) int {
 	return n
 }
 
-func earliestAfter(rob *robRing, t float64) float64 {
-	for i := 0; i < rob.n; i++ {
-		if c := rob.at(i).complete; c > t {
-			return c
-		}
-	}
-	return t
-}
-
-// coreQueue is a priority queue of cores by next-issue time.
+// coreQueue is a binary min-heap of cores by next-issue time. It sifts
+// exactly as container/heap does (same comparisons, same swaps), so cores
+// with equal issue times pop in container/heap's order, the order the
+// timing goldens record; a plain min-scan with a lowest-id tie-break would
+// reorder them.
 type coreQueue struct {
 	ids   []int
 	times []float64
 }
 
-func (q *coreQueue) Len() int           { return len(q.ids) }
-func (q *coreQueue) Less(i, j int) bool { return q.times[i] < q.times[j] }
-func (q *coreQueue) Swap(i, j int) {
+func (q *coreQueue) swap(i, j int) {
 	q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
 	q.times[i], q.times[j] = q.times[j], q.times[i]
 }
-func (q *coreQueue) Push(x interface{}) { panic("fixed-size queue") }
-func (q *coreQueue) Pop() interface{}   { panic("fixed-size queue") }
+
+// down is container/heap's down: it sifts element i toward the leaves.
+func (q *coreQueue) down(i int) {
+	n := len(q.ids)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && q.times[j2] < q.times[j] {
+			j = j2
+		}
+		if !(q.times[j] < q.times[i]) {
+			return
+		}
+		q.swap(i, j)
+		i = j
+	}
+}
+
+// init is container/heap's Init.
+func (q *coreQueue) init() {
+	for i := len(q.ids)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// popFront removes the head: the last element moves to the root and sifts
+// down, as in container/heap's Remove.
+func (q *coreQueue) popFront() {
+	last := len(q.ids) - 1
+	q.swap(0, last)
+	q.ids, q.times = q.ids[:last], q.times[:last]
+	q.down(0)
+}
 
 // Run replays the traces against a fresh hierarchy whose LLC organization
 // is built by llcb over a clone of the initial memory image.
@@ -306,10 +336,10 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	for c, cs := range cores {
 		if cs.pos < len(cs.t) {
 			q.ids = append(q.ids, c)
-			q.times = append(q.times, cs.ready(cfg))
+			q.times = append(q.times, cs.ready(&cfg))
 		}
 	}
-	heap.Init(q)
+	q.init()
 
 	var llcFree, memFree float64
 	var wbDrain []float64 // in-flight writeback completion times (sorted)
@@ -322,7 +352,7 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	}
 	ctxDone := ctx.Done()
 	var iter uint
-	for q.Len() > 0 {
+	for len(q.ids) > 0 {
 		if ctxDone != nil {
 			// Poll cheaply: one counter increment per event, one channel check
 			// every 4096 events.
@@ -436,16 +466,10 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 		cs.pos++
 
 		if cs.pos < len(cs.t) {
-			q.times[0] = cs.ready(cfg)
-			heap.Fix(q, 0)
+			q.times[0] = cs.ready(&cfg)
+			q.down(0) // heap.Fix at the root: sifting up is a no-op there
 		} else {
-			last := q.Len() - 1
-			q.Swap(0, last)
-			q.ids = q.ids[:last]
-			q.times = q.times[:last]
-			if last > 0 {
-				heap.Fix(q, 0)
-			}
+			q.popFront()
 		}
 	}
 
