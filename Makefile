@@ -34,27 +34,24 @@
 # the decoded cache (and its load counters), the cell capture identities
 # the planner and digest routing look captures up by, and the server's
 # decoded-cache stats and digest routing — and is folded into `race`.
-# `loadtest` boots a real sweepd, drives it with cmd/loadgen (10k concurrent
-# submissions by default) and regenerates BENCH_8.json.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
-# `bench` runs the paper-table Evaluation benchmarks plus the trace-cache
-# sweeps with -benchmem and converts the output into BENCH_10.json via
-# cmd/benchjson, joining the committed baseline (bench_baseline_10.txt,
-# regenerated by `bench-baseline` with DOPPEL_BENCH_LIVE=1 so the FuncSweep
-# rows' speedups are warm-replay versus live kernel execution; the
-# FuncSweepBatched row replays through the shared decoded-capture cache).
-# `bench-smoke` runs one iteration of each Evaluation benchmark, and of the
-# per-layer cache-array (BenchmarkLookup) and timing-model (BenchmarkRun)
-# benchmarks, as a cheap liveness check and is folded into `race`.
+# `bench-smoke` runs one iteration of each Evaluation benchmark (each fails
+# when its table or figure cannot be built), and of the per-layer
+# cache-array (BenchmarkLookup) and timing-model (BenchmarkRun) benchmarks,
+# as a cheap liveness check, then vets and tests the perfbench module —
+# a nested module that `./...` never reaches, so this is the one step that
+# compiles it against the current APIs. It is folded into `race`. The
+# benchmark itself is `bash perfbench/run.sh` (perfbench/README.md).
 # `cover` reports per-package statement coverage and enforces the
 # internal/trace floor (the decoder is security-sensitive: 85%) and the
 # internal/server floor (the robustness layer: 80%).
 # `check-run-patterns` guards the smoke targets' test selection: for every
-# quoted `-run 'A|B|...'` in this Makefile it asks `go test -list` whether
-# each alternative names at least one test in that line's packages, and
-# fails naming any that match none, so a renamed test cannot silently drop
-# out of CI. It is folded into `race`. (`-run xxx` in the bench targets is
+# quoted `-run 'A|B|...'` and `-bench 'A|B|...'` in this Makefile it asks
+# `go test -list` whether each alternative names at least one test (for
+# -run) or benchmark (for -bench) in that line's packages, and fails naming
+# any that match none, so a renamed test or benchmark cannot silently drop
+# out of CI. It is folded into `race`. (`-run xxx` in bench-smoke is
 # unquoted on purpose: it selects no tests.)
 # `audit` runs go vet always, plus staticcheck and govulncheck when they are
 # installed — missing tools skip with a note instead of failing, so the
@@ -62,13 +59,8 @@
 
 GO      ?= go
 FUZZTIME ?= 30s
-BENCHTIME ?= 2x
-BENCHCOUNT ?= 1
-LOADN ?= 10000
-LOADC ?= 512
-EVAL_BENCH = Table2$$|Fig2$$|Fig7$$|Fig8$$|Fig9$$|Fig10$$|Fig11$$|Fig12$$|Fig13$$|Fig14$$|Table3$$|FuncSweep$$|FuncSweepBatched$$
 
-.PHONY: build test race check-run-patterns faults-smoke quality-smoke trace-smoke chaos-smoke server-smoke batch-smoke test-interrupt fuzz-smoke bench bench-baseline bench-smoke loadtest cover vet audit
+.PHONY: build test race check-run-patterns faults-smoke quality-smoke trace-smoke chaos-smoke server-smoke batch-smoke test-interrupt fuzz-smoke bench-smoke cover vet audit
 
 build:
 	$(GO) build ./...
@@ -81,28 +73,25 @@ race: check-run-patterns faults-smoke quality-smoke trace-smoke chaos-smoke serv
 	$(GO) test -race -timeout 30m -cpu 1,4 ./internal/sweep/... ./internal/workloads/... ./internal/timesim/...
 
 check-run-patterns:
-	@awk '$$1 == "$$(GO)" && $$2 == "test" { pat = ""; pkgs = ""; \
-		for (i = 3; i <= NF; i++) if ($$i == "-run") pat = $$(i + 1); else if ($$i ~ /^\.\//) pkgs = pkgs " " $$i; \
-		if (pat ~ /^\047/) { gsub(/\047/, "", pat); print pat pkgs } }' Makefile | \
-	{ status=0; while read -r pat pkgs; do \
+	@awk '$$1 == "$$(GO)" && $$2 == "test" { n = 0; pkgs = ""; \
+		for (i = 3; i <= NF; i++) \
+			if (($$i == "-run" || $$i == "-bench") && $$(i + 1) ~ /^\047/) { flag[++n] = $$i; pat[n] = $$(i + 1) } \
+			else if ($$i == "." || $$i ~ /^\.\//) pkgs = pkgs " " $$i; \
+		for (j = 1; j <= n; j++) { p = pat[j]; gsub(/\047/, "", p); gsub(/\$$\$$/, "$$", p); print flag[j], p pkgs } }' Makefile | \
+	{ status=0; while read -r flag pat pkgs; do \
+		want='^(Test|Example|Fuzz)'; if [ "$$flag" = -bench ]; then want='^Benchmark'; fi; \
 		for alt in $$(echo "$$pat" | tr '|' ' '); do \
-			if ! $(GO) test -list "$$alt" $$pkgs | grep -Eq '^(Test|Example|Fuzz)'; then \
-				echo "check-run-patterns: -run alternative '$$alt' matches no test in $$pkgs"; status=1; \
+			if ! $(GO) test -list "$$alt" $$pkgs | grep -Eq "$$want"; then \
+				echo "check-run-patterns: $$flag alternative '$$alt' matches nothing in $$pkgs"; status=1; \
 			fi; \
 		done; \
 	done; exit $$status; }
 
-bench:
-	$(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench_current_10.txt
-	$(GO) run ./cmd/benchjson -baseline bench_baseline_10.txt -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -note "make bench" -o BENCH_10.json bench_current_10.txt
-
-bench-baseline:
-	DOPPEL_BENCH_LIVE=1 $(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench_baseline_10.txt
-
 bench-smoke:
-	$(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchtime 1x .
+	$(GO) test -run xxx -bench 'Table2$$|Fig2$$|Fig7$$|Fig8$$|Fig9$$|Fig10$$|Fig11$$|Fig12$$|Fig13$$|Fig14$$|Table3$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkLookup$$' -benchtime 1x ./internal/cache/
 	$(GO) test -run xxx -bench 'BenchmarkRun$$' -benchtime 1x ./internal/timesim/
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 faults-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestFaultSweepDeterministic|TestFaultSeedChangesSites' ./internal/sweep/
@@ -117,14 +106,6 @@ server-smoke:
 	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestOutputOnlyReadCorruptTraceSection|TestNegativeZeroRateOneCell|TestContentHashSeparatesConfigs' ./internal/server/
 	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency|TestCellKey|FuzzCellSubmit' ./internal/sweep/
 	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
-
-loadtest:
-	$(GO) build -o /tmp/doppel-sweepd ./cmd/sweepd
-	$(GO) build -o /tmp/doppel-loadgen ./cmd/loadgen
-	/tmp/doppel-sweepd -addr 127.0.0.1:8741 -scale 0.02 -only kmeans,inversek2j -shards 4 -shard-workers 2 -quiet & \
-	pid=$$!; sleep 1; \
-	/tmp/doppel-loadgen -addr 127.0.0.1:8741 -n $(LOADN) -c $(LOADC) -o BENCH_8.json; status=$$?; \
-	kill -TERM $$pid; wait $$pid; exit $$status
 
 batch-smoke:
 	$(GO) test -race -run 'TestReplayBatch' ./internal/funcsim/

@@ -8,15 +8,12 @@ package doppelganger
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/bdi"
 	"doppelganger/internal/core"
 	"doppelganger/internal/memdata"
-	"doppelganger/internal/sweep"
-	"doppelganger/internal/trace"
 )
 
 // benchScale keeps the per-iteration experiment runs tractable.
@@ -26,49 +23,65 @@ func newEval() *Evaluation { return NewEvaluation(benchScale, nil) }
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Table2()
+		if _, err := newEval().Table2(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig2()
+		if _, err := newEval().Fig2(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig7()
+		if _, err := newEval().Fig7(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig8()
+		if _, err := newEval().Fig8(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig9()
+		if _, _, err := newEval().Fig9(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig10()
+		if _, _, err := newEval().Fig10(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig11()
+		if _, _, err := newEval().Fig11(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig12()
+		if _, err := newEval().Fig12(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -80,7 +93,9 @@ func BenchmarkFig13(b *testing.B) {
 
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		newEval().Fig14()
+		if _, _, _, err := newEval().Fig14(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -115,92 +130,6 @@ func BenchmarkGridParallel(b *testing.B) {
 		if err := ev.Prewarm(false); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFuncSweep measures the functional error sweep the persistent
-// trace cache accelerates: for every benchmark, the precise baseline plus
-// the paper's split (Figs. 9–12) and uniDoppelgänger (Fig. 14) error cells.
-// By default each iteration replays from a trace directory pre-populated
-// outside the timer; with DOPPEL_BENCH_LIVE=1 every iteration executes the
-// kernels live instead. bench_baseline_6.txt is committed from the live
-// mode (`make bench-baseline`), so the speedup BENCH_6.json reports for
-// this benchmark is the warm-replay-versus-live ratio — the trace
-// substrate's acceptance number (≥3×).
-func BenchmarkFuncSweep(b *testing.B) {
-	dir := b.TempDir()
-	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {
-		dir = "" // no trace cache: every cell runs its kernels
-	}
-	sweepOnce := func() {
-		r := sweep.NewRunner(benchScale)
-		r.TraceDir = dir
-		for _, name := range r.Benchmarks() {
-			for _, m := range sweep.MapSpaces {
-				if _, err := r.SplitError(name, m, sweep.BaseDataFrac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.DataFracs {
-				if _, err := r.SplitError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.UniFracs {
-				if _, err := r.UnifiedError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	sweepOnce() // populate the trace directory outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweepOnce()
-	}
-}
-
-// BenchmarkFuncSweepBatched is BenchmarkFuncSweep with the sweepd
-// deployment's long-lived decoded-capture cache and batch width attached.
-// Every cell in this sweep is an output-only error cell, and the baseline
-// score reads only its capture's output too, so the cache sits unused: each
-// sweep reads every capture through the output-only read, exactly as
-// BenchmarkFuncSweep does. The row pins that attaching the cache costs an
-// error-only sweep nothing. With DOPPEL_BENCH_LIVE=1 every cell executes
-// live, identical to BenchmarkFuncSweep.
-func BenchmarkFuncSweepBatched(b *testing.B) {
-	dir := b.TempDir()
-	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {
-		dir = "" // no trace cache: every cell runs its kernels
-	}
-	cache := trace.NewDecodedCache(512 << 20)
-	sweepOnce := func() {
-		r := sweep.NewRunner(benchScale)
-		r.TraceDir = dir
-		r.DecodedCache = cache
-		r.ReplayBatch = 8
-		for _, name := range r.Benchmarks() {
-			for _, m := range sweep.MapSpaces {
-				if _, err := r.SplitError(name, m, sweep.BaseDataFrac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.DataFracs {
-				if _, err := r.SplitError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.UniFracs {
-				if _, err := r.UnifiedError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	sweepOnce() // populate the trace directory and decoded cache untimed
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweepOnce()
 	}
 }
 
